@@ -8,7 +8,9 @@ use leakchecker_callgraph::{Algorithm, CallGraph};
 use leakchecker_effects::{analyze, EffectConfig};
 use leakchecker_frontend::compile;
 use leakchecker_ir::ids::LocalId;
-use leakchecker_pointsto::{Andersen, Context, DemandConfig, DemandPointsTo, Node, Pag};
+use leakchecker_pointsto::{
+    Andersen, Context, DemandConfig, DemandPointsTo, Node, Pag, QueryTicket,
+};
 use std::hint::black_box;
 
 fn main() {
@@ -27,10 +29,12 @@ fn main() {
         Andersen::run(&unit.program, &pag)
     });
     let engine = DemandPointsTo::new(&unit.program, &pag, DemandConfig::default());
+    let ticket = QueryTicket::hermetic(100_000);
     bench("pointsto/demand-one-query", 20, || {
-        let r = engine.points_to(
+        let (r, _, _) = engine.points_to(
             black_box(Node::Local(main_method, LocalId(0))),
             &Context::empty(),
+            &ticket,
         );
         r.objects.len()
     });

@@ -10,8 +10,8 @@
 
 use leakchecker::parallel::{effective_jobs, parallel_map};
 use leakchecker::{
-    check, compute_keys, render_all, AnalysisResult, CacheStats, CheckTarget, DetectorConfig,
-    SummaryCache,
+    check, compute_keys, json_escape, render_all, AnalysisResult, CacheStats, CheckTarget,
+    DetectorConfig, SummaryCache,
 };
 use leakchecker_benchsuite::{
     all_subjects, by_name, evaluate, generate, generate_large, GenConfig, LargeConfig, Subject,
@@ -657,23 +657,6 @@ pub fn render_warm_cold(points: &[WarmColdPoint]) -> String {
             if p.warm_hit { "hit" } else { "MISS" },
             if p.byte_identical { "equal" } else { "DRIFT" },
         );
-    }
-    out
-}
-
-/// Escapes a string for JSON embedding.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }

@@ -35,6 +35,7 @@
 //! * `{"kind": "shutdown"}` — request a graceful drain (same path as
 //!   SIGTERM).
 
+pub use leakchecker::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -277,25 +278,6 @@ pub fn parse_json(line: &str) -> Result<Json, String> {
         return Err(format!("trailing garbage at byte {}", reader.pos));
     }
     Ok(value)
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Governance overrides a `check` request may carry; `None` fields use

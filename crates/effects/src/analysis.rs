@@ -214,43 +214,117 @@ pub type HeapKey = (TypeKey, Gen, FieldId);
 /// snapshot shared by every region of a Jacobi round, overlaid by a local
 /// delta map. On the sequential path `base` is `None` and `local` *is*
 /// the heap, reproducing the original single-map behavior bit for bit.
+///
+/// While a plain loop is open, every effective change to a cell is
+/// logged with the cell's prior value, so the loop can tell whether an
+/// iteration changed the heap from the cells it touched instead of
+/// cloning and comparing the whole heap (see [`HeapView::changed_since`]).
 #[derive(Clone, Debug, Default)]
 struct HeapView {
     base: Option<Arc<BTreeMap<HeapKey, Val>>>,
     local: BTreeMap<HeapKey, Val>,
+    /// Effective changes in order, each with the cell's prior value
+    /// (`None`: the cell was absent). Only kept while `open_loops > 0`.
+    undo: Vec<(HeapKey, Option<Val>)>,
+    /// Plain loops currently executing.
+    open_loops: usize,
+}
+
+/// The change log of the plain loops enclosing a designated loop, set
+/// aside while its fixpoint runs (see [`HeapView::suspend_log`]).
+struct SuspendedLog {
+    undo: Vec<(HeapKey, Option<Val>)>,
+    open_loops: usize,
+    before: BTreeMap<HeapKey, Val>,
 }
 
 impl HeapView {
+    /// The cell's effective value; `None` when absent (≠ `⊥`).
+    fn lookup(&self, key: &HeapKey) -> Option<&Val> {
+        self.local
+            .get(key)
+            .or_else(|| self.base.as_ref().and_then(|b| b.get(key)))
+    }
+
     fn get(&self, key: &HeapKey) -> Val {
-        if let Some(v) = self.local.get(key) {
-            return v.clone();
-        }
-        match &self.base {
-            Some(b) => b.get(key).cloned().unwrap_or(Val::Bottom),
-            None => Val::Bottom,
+        self.lookup(key).cloned().unwrap_or(Val::Bottom)
+    }
+
+    fn log(&mut self, key: HeapKey, prior: Option<Val>) {
+        if self.open_loops > 0 {
+            self.undo.push((key, prior));
         }
     }
 
     /// Weak update: joins `val` into the cell. Mirrors the sequential
     /// `entry(key).or_default()` discipline exactly — in particular a
     /// previously absent key is materialized even when the joined value
-    /// stays `⊥`, because heap-equality convergence checks distinguish
-    /// absent cells from `⊥` cells and the parallel path must reach
-    /// stability in the same iteration the sequential path does.
+    /// stays `⊥`, because convergence checks distinguish absent cells
+    /// from `⊥` cells.
     fn store_join(&mut self, key: HeapKey, val: Val, bound: usize) {
-        let cur = self.get(&key);
+        let prior = self.lookup(&key).cloned();
+        let cur = prior.as_ref().unwrap_or(&Val::Bottom);
         let new = cur.join(&val, bound);
-        let in_base = self.base.as_ref().is_some_and(|b| b.contains_key(&key));
-        if self.local.contains_key(&key) || !in_base || new != cur {
+        if prior.as_ref() != Some(&new) {
             self.local.insert(key, new);
+            self.log(key, prior);
         }
     }
 
     /// Strong update (flow-back reclassification). Callers only invoke
-    /// this when the value actually changed, so the overlay entry always
-    /// differs from the snapshot underneath it.
+    /// this on a present cell whose value actually changes, so the
+    /// overlay entry always differs from the snapshot underneath it.
     fn set(&mut self, key: HeapKey, val: Val) {
-        self.local.insert(key, val);
+        let old = self.local.insert(key, val);
+        if self.open_loops > 0 {
+            let prior = old.or_else(|| self.base.as_ref().and_then(|b| b.get(&key)).cloned());
+            self.undo.push((key, prior));
+        }
+    }
+
+    /// Did the effective heap change since the log held `mark` entries?
+    /// A cell changed iff its value now differs from the prior value of
+    /// its first logged change after `mark` — a cell that changed and
+    /// changed back within the span counts as unchanged, exactly as a
+    /// whole-heap comparison would see it.
+    fn changed_since(&self, mark: usize) -> bool {
+        let mut seen: HashSet<HeapKey> = HashSet::new();
+        self.undo[mark..]
+            .iter()
+            .any(|(key, prior)| seen.insert(*key) && self.lookup(key) != prior.as_ref())
+    }
+
+    /// Sets the enclosing plain loops' log aside before a designated
+    /// loop, whose aging and round merges rewrite the heap wholesale
+    /// without per-cell logging. `None` when no plain loop is open.
+    fn suspend_log(&mut self) -> Option<SuspendedLog> {
+        (self.open_loops > 0).then(|| SuspendedLog {
+            undo: std::mem::take(&mut self.undo),
+            open_loops: std::mem::take(&mut self.open_loops),
+            before: self.local.clone(),
+        })
+    }
+
+    /// Restores a suspended log, appending the designated loop's net
+    /// effect as one change per differing cell.
+    fn resume_log(&mut self, suspended: SuspendedLog) {
+        let SuspendedLog {
+            undo,
+            open_loops,
+            before,
+        } = suspended;
+        self.undo = undo;
+        self.open_loops = open_loops;
+        for key in self.local.keys() {
+            if !before.contains_key(key) {
+                self.undo.push((*key, None));
+            }
+        }
+        for (key, prior) in before {
+            if self.local.get(&key) != Some(&prior) {
+                self.undo.push((key, Some(prior)));
+            }
+        }
     }
 
     /// Every key of `field` in the effective heap, in key order (the
@@ -270,10 +344,13 @@ impl HeapView {
 }
 
 /// Everything one region of a Jacobi round produces, merged back into
-/// the main interpreter in fixed region order.
+/// the main interpreter in fixed region order. Of the frame, only what
+/// the merge takes: the final values of the region's written locals (in
+/// `Region::writes` order) and its `ret`.
 struct RegionOutcome {
     overlay: BTreeMap<HeapKey, Val>,
-    env: Env,
+    writes: Vec<Val>,
+    ret: Val,
     stores: BTreeSet<AbsEffect>,
     loads: BTreeSet<AbsEffect>,
     inside_sites: BTreeSet<AllocSite>,
@@ -689,33 +766,45 @@ impl AbstractInterp<'_> {
     /// loop's aging operator can cycle the same env/heap while the
     /// `inside_loop` flag of freshly recorded effects still changes.
     ///
-    /// Comparing `heap.local` is exact in both contexts: on the
-    /// sequential path it *is* the heap, and inside a region the overlay
-    /// changes iff the effective heap changes (stores only materialize
-    /// overlay entries that differ from the snapshot or update existing
-    /// ones).
+    /// Whether the heap changed is read off the heap's change log (see
+    /// [`HeapView::changed_since`]), which costs the cells the iteration
+    /// touched — not a clone and compare of the whole heap, which on the
+    /// sequential path is the whole program's heap, every iteration.
     fn exec_plain_loop(&mut self, body: &[Stmt], env: &mut Env) {
         let mut state = env.clone();
+        let mut stable = false;
+        self.heap.open_loops += 1;
         for _ in 0..self.config.max_fixpoint_iters {
-            let heap_before = self.heap.local.clone();
+            let mark = self.heap.undo.len();
             let mut iter_env = state.clone();
             self.exec_stmts(body, &mut iter_env);
             let joined = join_env(&state, &iter_env, self.bound());
-            if joined == state && self.heap.local == heap_before {
-                *env = joined;
-                return;
+            let heap_changed = self.heap.changed_since(mark);
+            if self.heap.open_loops == 1 {
+                // Outermost open loop: no enclosing iteration needs the
+                // entries any more.
+                self.heap.undo.clear();
             }
+            stable = joined == state && !heap_changed;
             state = joined;
+            if stable {
+                break;
+            }
         }
-        self.truncated = true;
+        self.heap.open_loops -= 1;
+        if !stable {
+            self.truncated = true;
+        }
         *env = state;
     }
 
     /// The designated loop: rule TWhile with iteration aging. Each
     /// abstract iteration runs either sequentially or as one parallel
     /// Jacobi round; the two produce identical post-states, so iteration
-    /// counts, truncation, and every summary component agree.
+    /// counts, truncation, and every summary component agree. Each round
+    /// compares the whole heap once: aging rewrites every cell anyway.
     fn exec_designated_loop(&mut self, body: &[Stmt], env: &mut Env) {
+        let outer_log = self.heap.suspend_log();
         self.loop_depth += 1;
         let workers = effective_jobs(self.config.jobs);
         let regions = if workers > 1 && !self.in_region {
@@ -767,6 +856,9 @@ impl AbstractInterp<'_> {
             self.truncated = true;
         }
         self.loop_depth -= 1;
+        if let Some(log) = outer_log {
+            self.heap.resume_log(log);
+        }
         *env = state;
     }
 
@@ -807,7 +899,7 @@ impl AbstractInterp<'_> {
                 designated,
                 heap: HeapView {
                     base: Some(Arc::clone(snap)),
-                    local: BTreeMap::new(),
+                    ..HeapView::default()
                 },
                 stores: BTreeSet::new(),
                 loads: BTreeSet::new(),
@@ -829,7 +921,12 @@ impl AbstractInterp<'_> {
             }
             RegionOutcome {
                 overlay: sub.heap.local,
-                env,
+                writes: regions[r]
+                    .writes
+                    .iter()
+                    .map(|l| std::mem::take(&mut env.locals[l.index()]))
+                    .collect(),
+                ret: env.ret,
                 stores: sub.stores,
                 loads: sub.loads,
                 inside_sites: sub.inside_sites,
@@ -858,13 +955,13 @@ impl AbstractInterp<'_> {
             // Environment delta: the partition guarantees each local is
             // written by at most one region (and read by no other), so
             // taking the writer's final value is exact, not a join.
-            for &l in &region.writes {
-                iter_env.locals[l.index()] = out.env.locals[l.index()].clone();
+            for (&l, val) in region.writes.iter().zip(out.writes) {
+                iter_env.locals[l.index()] = val;
             }
             // `ret` is accumulate-only (never read during execution), so
             // folding the per-region joins reproduces the sequential
             // value by idempotence.
-            iter_env.ret = iter_env.ret.join(&out.env.ret, bound);
+            iter_env.ret = iter_env.ret.join(&out.ret, bound);
             self.stores.extend(out.stores);
             self.loads.extend(out.loads);
             self.inside_sites.extend(out.inside_sites);

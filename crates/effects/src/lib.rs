@@ -504,4 +504,65 @@ mod tests {
         assert!(case.summary.stores.iter().any(|e| !e.inside_loop));
         assert!(case.summary.stores.iter().any(|e| e.inside_loop));
     }
+
+    /// A plain loop whose iteration changes a heap cell and changes it
+    /// back — the flow-back load turns ⊤̂ into f̂, the store after it
+    /// joins ⊤̂ in again — leaves the heap as it found it. The fixpoint
+    /// must converge, as a whole-heap comparison sees it, instead of
+    /// counting writes and spinning to the cap.
+    #[test]
+    fn plain_loop_cell_that_flips_back_converges() {
+        let case = Case::new(
+            "class Item { }
+             class Holder { Item f; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item y = null;
+                 @check while (nondet()) {
+                   while (nondet()) {
+                     Item a = h.f;
+                     h.f = y;
+                   }
+                   y = new Item();
+                 }
+               }
+             }",
+        );
+        assert!(!case.summary.truncated, "the flip-back is not a change");
+        assert_eq!(case.summary.rounds, 4);
+        assert_eq!(case.era_of("new Item"), Era::Top);
+    }
+
+    /// A designated loop nested in a plain loop rewrites the heap
+    /// wholesale (aging every round); the enclosing plain loop must still
+    /// see exactly the designated loop's net change, or it re-runs the
+    /// designated fixpoint until the cap.
+    #[test]
+    fn designated_loop_inside_a_plain_loop_converges() {
+        let case = Case::new(
+            "class Item { }
+             class Holder { Item f; Item g; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 while (nondet()) {
+                   Item z = h.g;
+                   @check while (nondet()) {
+                     Item a = h.f;
+                     Item it = new Item();
+                     h.f = it;
+                     h.g = a;
+                   }
+                 }
+               }
+             }",
+        );
+        assert!(!case.summary.truncated);
+        assert_eq!(
+            case.summary.rounds, 6,
+            "two plain iterations of three rounds"
+        );
+        assert_eq!(case.era_of("new Item"), Era::Top);
+    }
 }

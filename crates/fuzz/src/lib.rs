@@ -30,7 +30,7 @@ pub use oracle::{
 pub use reduce::{reduce_violation, Reduction};
 
 use leakchecker::governor::{FaultPlan, GovernorConfig};
-use leakchecker::{parallel_map_isolated, DetectorConfig};
+use leakchecker::{json_escape, parallel_map_isolated, DetectorConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -302,22 +302,6 @@ pub fn run_campaign_resumable(
         }
     }
     campaign
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_str_map(out: &mut String, map: &BTreeMap<String, u64>) {

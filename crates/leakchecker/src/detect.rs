@@ -48,8 +48,9 @@ pub struct DetectorConfig {
     /// run deadline, and (in tests/CI) injected faults.
     pub governor: GovernorConfig,
     /// Witness recording: escape chains on every report and derivation
-    /// traces on every refinement query (`--explain` / `--trace`).
-    /// Costs nothing when off — the demand engine's sink stays `None`.
+    /// traces on every refinement query (`--explain` / `--trace`). Both
+    /// are read-only post-passes: verdicts, reports and governor counters
+    /// are identical with it on or off, and it costs nothing when off.
     pub witnesses: bool,
 }
 
@@ -122,8 +123,8 @@ pub struct RunStats {
     pub deadline_hits: u64,
     /// Reports carrying `Confidence::Degraded`.
     pub degraded_reports: usize,
-    /// Store-source queries answered through the batched multi-root
-    /// traversal (zero on the legacy per-candidate refine path).
+    /// Distinct store-source queries answered through the batched
+    /// multi-root traversal.
     pub batched_queries: usize,
     /// Batches those queries were grouped into.
     pub query_batches: usize,
@@ -207,21 +208,10 @@ pub fn check(
     let callgraph = CallGraph::build_from(&program, &[root], config.callgraph);
     phases.callgraph_secs = start.elapsed().as_secs_f64();
 
-    // The effects fixpoint parallelizes its Jacobi rounds, but witness
-    // recording and fault injection both need the single-threaded
-    // execution order (witness chains replay statement order; injected
-    // faults are counted against a deterministic sequential schedule),
-    // so those runs pin the phase to the sequential path — mirroring
-    // the demand engine's `points_to_batch` fallback.
-    let effects_jobs = if config.witnesses || config.governor.faults.is_active() {
-        1
-    } else {
-        config.jobs
-    };
     let phase_start = Instant::now();
     let effect_config = EffectConfig {
         model_threads: config.model_threads,
-        jobs: effects_jobs,
+        jobs: config.jobs,
         ..config.effects
     };
     let summary = analyze_from(&program, &callgraph, root, designated, effect_config);
@@ -595,11 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn witnesses_pin_the_sequential_effects_path() {
+    fn witness_runs_partition_and_match_plain_runs() {
         // Two independent leak buckets: the loop body partitions into
-        // two regions, so a plain jobs=8 run takes the parallel effects
-        // path — and flipping witnesses on must force it back to the
-        // sequential walk (witness chains replay statement order).
+        // two regions, so a jobs=8 run takes the parallel effects path
+        // with witnesses on or off, and the reports agree byte for byte
+        // with each other and with the sequential run.
         let src = "class Item { }
              class A { Item x; }
              class B { Item y; }
@@ -635,14 +625,28 @@ mod tests {
                 ..DetectorConfig::default()
             },
         );
-        assert_eq!(
-            with.stats.effects_regions, 0,
-            "witness runs must take the sequential effects path"
+        assert!(
+            with.stats.effects_regions >= 2,
+            "witness runs partition too, got {} regions",
+            with.stats.effects_regions
         );
-        assert_eq!(plain.stats.effects_rounds, with.stats.effects_rounds);
+        let sequential = run(
+            src,
+            DetectorConfig {
+                witnesses: true,
+                ..DetectorConfig::default()
+            },
+        );
+        for r in [&plain, &with] {
+            assert_eq!(sequential.stats.effects_rounds, r.stats.effects_rounds);
+            assert_eq!(
+                crate::report::render_all(&sequential.program, &sequential.reports),
+                crate::report::render_all(&r.program, &r.reports)
+            );
+        }
         assert_eq!(
-            crate::report::render_all(&plain.program, &plain.reports),
-            crate::report::render_all(&with.program, &with.reports)
+            crate::report::render_all_explained(&sequential.program, &sequential.reports),
+            crate::report::render_all_explained(&with.program, &with.reports)
         );
     }
 

@@ -83,7 +83,7 @@ pub use parallel::{
 };
 pub use persist::write_atomic;
 pub use refine::{Refinement, SiteVerdict};
-pub use report::{render_all, LeakReport};
+pub use report::{json_escape, render_all, LeakReport};
 pub use server::{
     route_key, BreakerConfig, BreakerState, BreakerStats, CircuitBreaker, DrainState, HashRing,
     ServeConfig, ServeCore, ServeStats, SubmitError,

@@ -13,18 +13,26 @@
 //! edges are refuted is dropped before pivot filtering — *before*, so a
 //! dropped candidate can never have suppressed another site's report.
 //!
-//! Every query runs under the [`Governor`]'s degradation ladder:
+//! There is one refinement path (see [`refine_batched`]): the distinct
+//! store sources of all candidates are resolved in multi-root batches,
+//! each batch down the [`Governor`]'s degradation ladder:
 //!
-//! 1. a governed demand query with the per-query step budget, bypassing
-//!    the shared memo so completeness is a deterministic property of the
-//!    query, not of thread interleaving;
+//! 1. a governed batch traversal with the per-query step budget scaled
+//!    by the batch size — hermetic, so completeness is a deterministic
+//!    property of the batch, not of thread interleaving;
 //! 2. on exhaustion, up to `max_retries` adaptive retries with the
 //!    budget scaled by [`RETRY_BUDGET_FACTOR`] each time;
 //! 3. on final exhaustion (or deadline expiry), the precomputed
 //!    context-insensitive Andersen solution — a superset of every
 //!    complete demand answer, so refutation stays sound;
-//! 4. a panicking worker quarantines only its own candidate, which is
-//!    then kept conservatively.
+//! 4. a panicking worker quarantines only its own batch or candidate,
+//!    whose answers fall back to Andersen or whose candidate is kept.
+//!
+//! Injected faults are keyed by candidate index and applied when that
+//! candidate reads its answers, so they degrade the same candidates at
+//! any `jobs`. Witness recording never changes a verdict or a governor
+//! counter: traces come from a read-only post-pass over the pairs the
+//! verdicts consulted.
 //!
 //! Soundness: refutation uses *over*-approximations only. If site `s`'s
 //! objects can reach `b.g` at runtime, some store `x.g = y` moves an
@@ -34,16 +42,16 @@
 //! never used to refute; it escalates the ladder instead.
 
 use crate::flows::FlowRelations;
-use crate::governor::{Confidence, DegradeCause, Governor, RETRY_BUDGET_FACTOR};
+use crate::governor::{Confidence, DegradeCause, Governor, GovernorConfig, RETRY_BUDGET_FACTOR};
 use crate::parallel::parallel_map_isolated;
 use crate::witness::{node_label, witness_edges, QueryTrace};
 use leakchecker_effects::{EffectSummary, Era};
-use leakchecker_ir::ids::AllocSite;
+use leakchecker_ir::ids::{AllocSite, MethodId};
 use leakchecker_ir::Program;
 use leakchecker_pointsto::{
     Andersen, Context, DemandConfig, DemandPointsTo, Node, NodeId, Pag, QueryTicket,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// The refinement verdict for one candidate site.
@@ -66,8 +74,8 @@ pub struct Refinement {
     /// Per-query derivation traces, in deterministic (site, then query)
     /// order. Empty unless witness recording was requested.
     pub traces: Vec<QueryTrace>,
-    /// Store-source queries answered through the batched multi-root
-    /// traversal (zero on the legacy per-candidate path).
+    /// Distinct store-source queries answered through the batched
+    /// multi-root traversal.
     pub batched_queries: usize,
     /// Batches the queries were grouped into.
     pub query_batches: usize,
@@ -91,6 +99,10 @@ impl Refinement {
             .collect()
     }
 }
+
+/// An over-approximate points-to answer for one store source, with the
+/// degrade cause when the ladder went past rung one.
+type Answer = (BTreeSet<AllocSite>, Option<DegradeCause>);
 
 /// Everything one worker needs, shared immutably across the fan-out.
 struct RefineCx<'a> {
@@ -116,12 +128,11 @@ impl RefineCx<'_> {
 
 /// Runs the refinement phase over the candidate set.
 ///
-/// With `witnesses` set, every governed demand query runs in traced mode
-/// and the returned [`Refinement::traces`] carries one [`QueryTrace`]
-/// per (candidate, store source) query, in deterministic item order —
-/// the same order at any `jobs`, because `parallel_map_isolated`
-/// preserves item order and each item's queries are issued in
-/// `BTreeSet`-edge / PAG-store order.
+/// Verdicts always come from [`refine_batched`]. With `witnesses` set,
+/// the returned [`Refinement::traces`] additionally carries one
+/// [`QueryTrace`] per (candidate, store source) pair the verdicts
+/// consulted, in candidate order and, within a candidate, in
+/// confirm-and-break order — the same at any `jobs`.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_candidates(
     program: &Program,
@@ -136,14 +147,7 @@ pub fn refine_candidates(
     if candidates.is_empty() {
         return Refinement::default();
     }
-    let engine = DemandPointsTo::new(
-        program,
-        pag,
-        DemandConfig {
-            budget: governor.config().query_budget,
-            ..DemandConfig::default()
-        },
-    );
+    let engine = DemandPointsTo::new(program, pag, DemandConfig::default());
     let andersen: OnceLock<Andersen> = OnceLock::new();
     let targets = containment_targets(flows, candidates);
     let cx = RefineCx {
@@ -156,77 +160,43 @@ pub fn refine_candidates(
         governor,
         targets: &targets,
     };
-
-    // Fast path: without witness recording or fault injection, the
-    // per-candidate queries deduplicate and batch globally — queries
-    // rooted in the same method share one frontier expansion instead of
-    // re-deriving it per candidate. Witnessed runs need per-candidate
-    // traced queries (a batch carries no provenance), and fault plans
-    // key off the candidate index, so both keep the legacy path; its
-    // outputs are unchanged.
-    if !witnesses && !governor.config().faults.is_active() {
-        return refine_batched(&cx, candidates, jobs);
-    }
-
+    // Fault plans key off the candidate index: its position in site order.
     let items: Vec<(u64, AllocSite)> = candidates
         .iter()
         .copied()
         .enumerate()
         .map(|(i, s)| (i as u64, s))
         .collect();
-    let outcomes = parallel_map_isolated(jobs, items.clone(), |(index, site)| {
-        if cx.governor.config().faults.panics(index) {
-            panic!("injected worker panic at item {index}");
-        }
-        refine_one(&cx, index, site, witnesses)
-    });
-
-    let mut traces = Vec::new();
-    let verdicts = items
-        .into_iter()
-        .zip(outcomes)
-        .map(|((_, site), outcome)| match outcome {
-            Ok((verdict, item_traces)) => {
-                traces.extend(item_traces);
-                verdict
-            }
-            Err(_) => {
-                // Quarantine: keep the candidate — dropping on a panic
-                // could lose a true leak — and say why it's degraded.
-                // A quarantined item contributes no traces.
-                governor.note_quarantined();
-                SiteVerdict {
-                    site,
-                    keep: true,
-                    confidence: Confidence::Degraded {
-                        cause: DegradeCause::WorkerPanic,
-                    },
-                }
-            }
-        })
-        .collect();
-    Refinement {
-        verdicts,
-        traces,
-        batched_queries: 0,
-        query_batches: 0,
+    let (mut refinement, consulted) = refine_batched(&cx, &items, jobs);
+    if witnesses {
+        refinement.traces = trace_pass(&cx, &items, consulted, jobs);
     }
+    refinement
 }
 
 /// The batch width: one bit per root in the engine's multi-root mask.
 const BATCH_WIDTH: usize = 64;
 
-/// The batched refinement fast path.
+/// Does candidate `index` read the batched answers? A fault that takes
+/// it past the demand rungs — an injected panic, an expired virtual
+/// deadline, a forced exhaustion with no retry left — means it never
+/// queries the engine, so its sources stay out of the plan.
+fn consults_engine(config: &GovernorConfig, index: u64) -> bool {
+    let faults = config.faults;
+    !(faults.panics(index)
+        || faults.deadline_expired(index)
+        || (faults.exhausts(index) && config.max_retries == 0))
+}
+
+/// The refinement: every verdict comes from here.
 ///
 /// Three stages, all deterministic at any `jobs` width:
 ///
 /// 1. **Plan** (sequential): walk candidates in site order, their
 ///    unmatched edges in set order, each edge's stores in PAG order, and
 ///    collect the distinct store-source nodes first-seen — the full set
-///    of points-to queries the phase needs, each exactly once. The
-///    legacy path resolves a source once *per candidate that needs it*;
-///    with shared library strata that multiplies the hottest queries by
-///    the candidate count.
+///    of points-to queries the phase needs, each exactly once, however
+///    many candidates share it.
 /// 2. **Resolve** (parallel over batches): group the sources by rooting
 ///    method — same-method roots share traversal frontier — chunk each
 ///    group to the engine's 64-root mask width, and run each batch down
@@ -235,15 +205,26 @@ const BATCH_WIDTH: usize = 64;
 ///    Andersen fallback per root. Batch composition is fixed by the
 ///    plan, so answers — and the governor's ladder counters — do not
 ///    depend on scheduling.
-/// 3. **Verdict** (sequential lookups): re-run the per-candidate edge
-///    logic against the resolved table, with the same
-///    confirm-and-break order as the legacy path so degrade causes
-///    attribute identically.
-fn refine_batched(cx: &RefineCx<'_>, candidates: &BTreeSet<AllocSite>, jobs: usize) -> Refinement {
+/// 3. **Verdict** (per candidate, isolated): look the candidate's store
+///    sources up in the resolved table in confirm-and-break order, with
+///    the candidate's injected faults applied (see [`answer_for`]).
+///    Returns, beside the verdicts, the sources each candidate
+///    consulted, for the trace post-pass.
+fn refine_batched(
+    cx: &RefineCx<'_>,
+    items: &[(u64, AllocSite)],
+    jobs: usize,
+) -> (Refinement, Vec<Vec<NodeId>>) {
+    let governor = cx.governor;
+    let config = governor.config();
+
     // Stage 1: the deterministic query plan.
     let mut plan: Vec<NodeId> = Vec::new();
-    let mut planned: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    for &site in candidates {
+    let mut planned: HashSet<NodeId> = HashSet::new();
+    for &(index, site) in items {
+        if !consults_engine(config, index) {
+            continue;
+        }
         for edge in cx.flows.unmatched_edges(site) {
             for store in cx.pag.stores_of(edge.field) {
                 if planned.insert(store.src) {
@@ -255,8 +236,8 @@ fn refine_batched(cx: &RefineCx<'_>, candidates: &BTreeSet<AllocSite>, jobs: usi
 
     // Stage 2: group by rooting method (first-occurrence order), chunk
     // to the mask width, resolve each chunk down the ladder.
-    let mut group_order: Vec<Option<leakchecker_ir::ids::MethodId>> = Vec::new();
-    let mut groups: HashMap<Option<leakchecker_ir::ids::MethodId>, Vec<NodeId>> = HashMap::new();
+    let mut group_order: Vec<Option<MethodId>> = Vec::new();
+    let mut groups: HashMap<Option<MethodId>, Vec<NodeId>> = HashMap::new();
     for &src in &plan {
         let key = match cx.pag.node_info(src) {
             Node::Local(m, _) | Node::Ret(m) => Some(m),
@@ -276,7 +257,7 @@ fn refine_batched(cx: &RefineCx<'_>, candidates: &BTreeSet<AllocSite>, jobs: usi
     let batched_queries = plan.len();
 
     let outcomes = parallel_map_isolated(jobs, batches.clone(), |batch| resolve_batch(cx, &batch));
-    let mut resolved: HashMap<NodeId, (BTreeSet<AllocSite>, Option<DegradeCause>)> = HashMap::new();
+    let mut resolved: HashMap<NodeId, Answer> = HashMap::new();
     for (batch, outcome) in batches.iter().zip(outcomes) {
         match outcome {
             Ok(answers) => {
@@ -289,7 +270,7 @@ fn refine_batched(cx: &RefineCx<'_>, candidates: &BTreeSet<AllocSite>, jobs: usi
                 // its roots fall back to the independently computed
                 // Andersen solution (still an over-approximation, so
                 // refutation stays sound) and carry the panic cause.
-                cx.governor.note_quarantined();
+                governor.note_quarantined();
                 for &src in batch {
                     resolved.insert(
                         src,
@@ -303,66 +284,139 @@ fn refine_batched(cx: &RefineCx<'_>, candidates: &BTreeSet<AllocSite>, jobs: usi
         }
     }
 
-    // Stage 3: per-candidate verdicts from pure lookups, preserving the
-    // legacy confirm-and-break cause attribution.
-    let verdicts = candidates
+    // Stage 3: per-candidate verdicts from lookups. An injected panic
+    // runs through the same isolation as a genuine one.
+    let outcomes = parallel_map_isolated(jobs, items.to_vec(), |(index, site)| {
+        if config.faults.panics(index) {
+            panic!("injected worker panic at item {index}");
+        }
+        verdict_of(cx, &resolved, index, site)
+    });
+    let mut consulted = Vec::with_capacity(items.len());
+    let verdicts = items
         .iter()
-        .map(|&site| {
-            let era = cx.summary.era(site);
-            let targets = &cx.targets[&site];
-            let mut cause: Option<DegradeCause> = None;
-            let mut any_edge_confirmed = false;
-            for edge in cx.flows.unmatched_edges(site) {
-                let stores = cx.pag.stores_of(edge.field);
-                if stores.is_empty() {
-                    any_edge_confirmed = true;
-                    continue;
-                }
-                let mut edge_alive = false;
-                for store in stores {
-                    let (sites, degrade) = &resolved[&store.src];
-                    if let Some(c) = degrade {
-                        cause.get_or_insert(*c);
-                    }
-                    if sites.iter().any(|s| targets.contains(s)) {
-                        edge_alive = true;
-                        break;
-                    }
-                }
-                if edge_alive {
-                    any_edge_confirmed = true;
-                }
+        .zip(outcomes)
+        .map(|(&(_, site), outcome)| match outcome {
+            Ok((verdict, srcs)) => {
+                consulted.push(srcs);
+                verdict
             }
-            SiteVerdict {
-                site,
-                keep: era == Era::Top || any_edge_confirmed,
-                confidence: match cause {
-                    Some(cause) => Confidence::Degraded { cause },
-                    None => Confidence::Precise,
-                },
+            Err(_) => {
+                // Quarantine: keep the candidate — dropping on a panic
+                // could lose a true leak — and say why it's degraded.
+                // A quarantined candidate consulted nothing to trace.
+                governor.note_quarantined();
+                consulted.push(Vec::new());
+                SiteVerdict {
+                    site,
+                    keep: true,
+                    confidence: Confidence::Degraded {
+                        cause: DegradeCause::WorkerPanic,
+                    },
+                }
             }
         })
         .collect();
-    Refinement {
+    let refinement = Refinement {
         verdicts,
         traces: Vec::new(),
         batched_queries,
         query_batches,
-    }
+    };
+    (refinement, consulted)
 }
 
-/// The degradation ladder for one batch of store-source queries.
-///
-/// Mirrors [`resolve_store_src`] at batch granularity: a governed
-/// multi-root traversal whose shared budget is the per-query budget ×
-/// batch size, scaled by [`RETRY_BUDGET_FACTOR`] per retry; on final
-/// exhaustion (or deadline expiry) every root falls back to the
+/// One candidate's verdict. Walks its unmatched edges in set order and
+/// each edge's stores in PAG order, stopping at the first store whose
+/// answer reaches a target (confirm-and-break), so the degrade cause
+/// recorded is the first one met on that walk. Also returns the store
+/// sources consulted, each once, in first-consult order.
+fn verdict_of(
+    cx: &RefineCx<'_>,
+    resolved: &HashMap<NodeId, Answer>,
+    index: u64,
+    site: AllocSite,
+) -> (SiteVerdict, Vec<NodeId>) {
+    let era = cx.summary.era(site);
+    let targets = &cx.targets[&site];
+    // Several unmatched edges often share stores; each source's answer
+    // (and any fault bookkeeping behind it) is taken once per candidate.
+    let mut answers: HashMap<NodeId, (&BTreeSet<AllocSite>, Option<DegradeCause>)> = HashMap::new();
+    let mut consulted = Vec::new();
+    let mut cause: Option<DegradeCause> = None;
+    let mut any_edge_confirmed = false;
+    for edge in cx.flows.unmatched_edges(site) {
+        let stores = cx.pag.stores_of(edge.field);
+        if stores.is_empty() {
+            // No PAG store statement writes this field (e.g. statics
+            // are modeled as copy edges): nothing to refute with.
+            any_edge_confirmed = true;
+            continue;
+        }
+        for store in stores {
+            let (sites, degrade) = *answers.entry(store.src).or_insert_with(|| {
+                consulted.push(store.src);
+                answer_for(cx, resolved, index, store.src)
+            });
+            if let Some(c) = degrade {
+                cause.get_or_insert(c);
+            }
+            if sites.iter().any(|s| targets.contains(s)) {
+                any_edge_confirmed = true;
+                break;
+            }
+        }
+    }
+    let verdict = SiteVerdict {
+        site,
+        keep: era == Era::Top || any_edge_confirmed,
+        confidence: match cause {
+            Some(cause) => Confidence::Degraded { cause },
+            None => Confidence::Precise,
+        },
+    };
+    (verdict, consulted)
+}
+
+/// The answer candidate `index` reads for `src`: the batched answer,
+/// unless the fault plan moves this candidate down the ladder. An
+/// expired virtual deadline answers from Andersen at once; a forced
+/// first-attempt exhaustion costs one rung — the Andersen fallback when
+/// no retry is left, otherwise one retry whose answer is the batched one.
+fn answer_for<'r>(
+    cx: &'r RefineCx<'_>,
+    resolved: &'r HashMap<NodeId, Answer>,
+    index: u64,
+    src: NodeId,
+) -> (&'r BTreeSet<AllocSite>, Option<DegradeCause>) {
+    let governor = cx.governor;
+    let config = governor.config();
+    let fallback = |cause: DegradeCause| {
+        governor.note_fallback();
+        (cx.andersen().points_to(src), Some(cause))
+    };
+    if config.faults.deadline_expired(index) {
+        governor.note_deadline_hit();
+        return fallback(DegradeCause::DeadlineExpired);
+    }
+    if config.faults.exhausts(index) {
+        governor.note_exhausted();
+        if config.max_retries == 0 {
+            return fallback(DegradeCause::BudgetExhausted);
+        }
+        governor.note_retry();
+    }
+    let (sites, cause) = &resolved[&src];
+    (sites, *cause)
+}
+
+/// The degradation ladder for one batch of store-source queries: a
+/// governed multi-root traversal whose shared budget is the per-query
+/// budget × batch size, scaled by [`RETRY_BUDGET_FACTOR`] per retry; on
+/// final exhaustion (or deadline expiry) every root falls back to the
 /// Andersen solution. One exhaustion/retry note per batch, one fallback
 /// note per root that actually fell back.
-fn resolve_batch(
-    cx: &RefineCx<'_>,
-    srcs: &[NodeId],
-) -> Vec<(BTreeSet<AllocSite>, Option<DegradeCause>)> {
+fn resolve_batch(cx: &RefineCx<'_>, srcs: &[NodeId]) -> Vec<Answer> {
     let governor = cx.governor;
     let config = governor.config();
     let nodes: Vec<Node> = srcs.iter().map(|&s| cx.pag.node_info(s)).collect();
@@ -437,97 +491,42 @@ fn containment_targets(
         .collect()
 }
 
-/// Refines one candidate; runs inside the isolated fan-out.
-///
-/// Returns the verdict plus, in traced mode, one [`QueryTrace`] per
-/// distinct store source resolved (the per-item cache guarantees each
-/// source is queried — and traced — at most once).
-fn refine_one(
+/// The witness post-pass (`--explain` / `--trace`): one traced
+/// single-root query ladder per (candidate, store source) pair the
+/// verdicts consulted. Read-only — verdicts are already final, and no
+/// governor counter moves — so witness recording cannot change a
+/// report. A candidate whose trace queries panic loses only its traces.
+fn trace_pass(
     cx: &RefineCx<'_>,
-    index: u64,
-    site: AllocSite,
-    witnesses: bool,
-) -> (SiteVerdict, Vec<QueryTrace>) {
-    let era = cx.summary.era(site);
-    let targets = &cx.targets[&site];
-    // Per-item cache of resolved store sources: several unmatched edges
-    // often share fields/stores, and the cache is item-local so it
-    // cannot couple items across threads.
-    let mut resolved: HashMap<NodeId, (BTreeSet<AllocSite>, Option<DegradeCause>)> = HashMap::new();
-    let mut traces = Vec::new();
-    let mut cause: Option<DegradeCause> = None;
-    let mut any_edge_confirmed = false;
-
-    for edge in cx.flows.unmatched_edges(site) {
-        let stores = cx.pag.stores_of(edge.field);
-        if stores.is_empty() {
-            // No PAG store statement writes this field (e.g. statics
-            // are modeled as copy edges): nothing to refute with.
-            any_edge_confirmed = true;
-            continue;
-        }
-        let mut edge_alive = false;
-        for store in stores {
-            let (sites, degrade) = match resolved.entry(store.src) {
-                std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    let (sites, degrade, trace) =
-                        resolve_store_src(cx, index, site, store.src, witnesses);
-                    traces.extend(trace);
-                    slot.insert((sites, degrade)).clone()
-                }
-            };
-            if let Some(c) = degrade {
-                cause.get_or_insert(c);
-            }
-            if sites.iter().any(|s| targets.contains(s)) {
-                edge_alive = true;
-                break;
-            }
-        }
-        if edge_alive {
-            any_edge_confirmed = true;
-        }
-    }
-
-    let keep = era == Era::Top || any_edge_confirmed;
-    let verdict = SiteVerdict {
-        site,
-        keep,
-        confidence: match cause {
-            Some(cause) => Confidence::Degraded { cause },
-            None => Confidence::Precise,
-        },
-    };
-    (verdict, traces)
+    items: &[(u64, AllocSite)],
+    consulted: Vec<Vec<NodeId>>,
+    jobs: usize,
+) -> Vec<QueryTrace> {
+    let work: Vec<(u64, AllocSite, Vec<NodeId>)> = items
+        .iter()
+        .zip(consulted)
+        .map(|(&(index, site), srcs)| (index, site, srcs))
+        .collect();
+    parallel_map_isolated(jobs, work, |(index, site, srcs)| {
+        srcs.into_iter()
+            .map(|src| trace_query(cx, index, site, src))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flat_map(Result::unwrap_or_default)
+    .collect()
 }
 
-/// The degradation ladder for one store-source points-to query.
-///
-/// Returns an *over-approximate* site set — either a complete demand
-/// answer (empty context = wildcard, so flows from every caller are
-/// seen) or the Andersen solution — plus the degrade cause if the
-/// ladder went past rung one.
-fn resolve_store_src(
-    cx: &RefineCx<'_>,
-    index: u64,
-    site: AllocSite,
-    src: NodeId,
-    witnesses: bool,
-) -> (
-    BTreeSet<AllocSite>,
-    Option<DegradeCause>,
-    Option<QueryTrace>,
-) {
+/// Traces one store-source query down the per-query ladder: the
+/// per-query budget, then up to `max_retries` retries scaled by
+/// [`RETRY_BUDGET_FACTOR`], honoring the candidate's injected faults. The
+/// trace keeps the last attempt's budget and provenance edges and the
+/// total steps spent; on fallback the partial witness is still reported.
+fn trace_query(cx: &RefineCx<'_>, index: u64, site: AllocSite, src: NodeId) -> QueryTrace {
     let governor = cx.governor;
     let config = governor.config();
     let node = cx.pag.node_info(src);
-    let ctx = Context::empty();
-    let injected_expiry = config.faults.deadline_expired(index);
-    // Traced mode keeps the last attempt's spend and provenance edges;
-    // on fallback the partial witness is still reported (honesty over
-    // completeness).
-    let mut trace = witnesses.then(|| QueryTrace {
+    let mut trace = QueryTrace {
         phase: "refine".to_string(),
         site: site.to_string(),
         query: node_label(cx.program, node),
@@ -535,70 +534,40 @@ fn resolve_store_src(
         steps: 0,
         outcome: "fallback".to_string(),
         edges: Vec::new(),
-    });
-
-    if !injected_expiry && !governor.real_deadline_expired() && !governor.cancelled() {
-        let mut budget = config.query_budget;
-        let mut forced_exhaust = config.faults.exhausts(index);
-        for attempt in 0..=config.max_retries {
-            if attempt > 0 {
-                governor.note_retry();
-                budget = budget.saturating_mul(RETRY_BUDGET_FACTOR);
-                forced_exhaust = false;
-            }
-            if forced_exhaust {
-                governor.note_exhausted();
-                continue;
-            }
-            let ticket = QueryTicket {
-                stop: Some(governor.cancel_token()),
-                deadline: governor.deadline(),
-                ..QueryTicket::hermetic(budget)
-            };
-            let (result, stats) = if let Some(trace) = trace.as_mut() {
-                let (result, stats, site_witnesses) =
-                    cx.engine.points_to_traced(node, &ctx, &ticket);
-                trace.budget = budget;
-                trace.steps += stats.steps;
-                trace.edges = witness_edges(cx.program, &site_witnesses);
-                (result, stats)
-            } else {
-                cx.engine.points_to_ticketed(node, &ctx, &ticket)
-            };
-            if result.complete {
-                if let Some(trace) = trace.as_mut() {
-                    trace.outcome = "complete".to_string();
-                }
-                return (result.sites(), None, trace);
-            }
-            if stats.interrupted {
-                // Deadline or cancellation, not workload size: retrying
-                // cannot help.
-                if let Some(trace) = trace.as_mut() {
-                    trace.outcome = "interrupted".to_string();
-                }
-                break;
-            }
-            if attempt == 0 {
-                governor.note_exhausted();
-            }
-        }
-    }
-
-    // Rung three: the context-insensitive over-approximation.
-    governor.note_fallback();
-    let cause = if injected_expiry || governor.cancelled() {
-        governor.note_deadline_hit();
-        DegradeCause::DeadlineExpired
-    } else {
-        DegradeCause::BudgetExhausted
     };
-    if let Some(trace) = trace.as_mut() {
-        if trace.outcome != "interrupted" {
-            trace.outcome = "fallback".to_string();
+    if config.faults.deadline_expired(index)
+        || governor.real_deadline_expired()
+        || governor.cancelled()
+    {
+        return trace;
+    }
+    // A forced first-attempt exhaustion skips attempt 0.
+    let first = u32::from(config.faults.exhausts(index));
+    for attempt in first..=config.max_retries {
+        let budget = config
+            .query_budget
+            .saturating_mul(RETRY_BUDGET_FACTOR.saturating_pow(attempt));
+        let ticket = QueryTicket {
+            stop: Some(governor.cancel_token()),
+            deadline: governor.deadline(),
+            ..QueryTicket::hermetic(budget)
+        };
+        let (result, stats, witnesses) = cx.engine.points_to(node, &Context::empty(), &ticket);
+        trace.budget = budget;
+        trace.steps += stats.steps;
+        trace.edges = witness_edges(cx.program, &witnesses);
+        if result.complete {
+            trace.outcome = "complete".to_string();
+            break;
+        }
+        if stats.interrupted {
+            // Deadline or cancellation, not workload size: retrying
+            // cannot help.
+            trace.outcome = "interrupted".to_string();
+            break;
         }
     }
-    (cx.andersen().points_to(src).clone(), Some(cause), trace)
+    trace
 }
 
 #[cfg(test)]

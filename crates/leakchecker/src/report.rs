@@ -184,6 +184,27 @@ pub fn render_all_explained(program: &Program, reports: &[LeakReport]) -> String
     out
 }
 
+/// Escapes a string for embedding in a JSON document: quotes,
+/// backslashes, and control characters (`\n`, `\t`, `\r` by name,
+/// the rest as `\u00XX`).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +340,14 @@ mod tests {
         assert_eq!(
             render_all(&result.program, &result.reports),
             "no leaks reported\n"
+        );
+    }
+
+    #[test]
+    fn json_escape_names_common_controls_and_hex_escapes_the_rest() {
+        assert_eq!(
+            json_escape("q\"b\\n\nt\tr\r\u{1}é"),
+            "q\\\"b\\\\n\\nt\\tr\\r\\u0001é"
         );
     }
 }

@@ -516,12 +516,7 @@ fn mix64(mut z: u64) -> u64 {
 /// source text). Stable across processes and platforms, so every router
 /// instance agrees on placement.
 pub fn route_key(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    crate::cache::fnv1a(bytes)
 }
 
 /// A consistent-hash ring over `nodes` shard slots, each placed at

@@ -18,6 +18,7 @@
 //! for sites that are already being reported.
 
 use crate::flows::{FlowRelations, OutsideEdge};
+use crate::report::json_escape;
 use leakchecker_effects::{EffectSummary, TypeKey};
 use leakchecker_ir::ids::{AllocSite, FieldId, MethodId};
 use leakchecker_ir::stmt::Stmt;
@@ -317,25 +318,6 @@ pub fn witness_edges(program: &Program, witnesses: &[SiteWitness]) -> Vec<String
         }
     }
     edges
-}
-
-/// Minimal JSON string escaping for the trace stream.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

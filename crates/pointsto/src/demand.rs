@@ -31,13 +31,11 @@
 use crate::context::Context;
 use crate::intern::{ContextInterner, CtxId};
 use crate::pag::{EdgeLabel, LoadStmt, Node, NodeId, Pag};
-use crate::sync::{read_resilient, write_resilient};
 use leakchecker_ir::ids::{AllocSite, CallSite, FieldId};
 use leakchecker_ir::Program;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Tuning knobs for demand queries.
@@ -45,9 +43,6 @@ use std::time::Instant;
 pub struct DemandConfig {
     /// Call-string limit (frames kept per context).
     pub k: usize,
-    /// Traversal step budget per top-level query (shared with nested
-    /// alias queries).
-    pub budget: usize,
     /// Depth limit for nested alias queries.
     pub max_alias_depth: usize,
 }
@@ -56,7 +51,6 @@ impl Default for DemandConfig {
     fn default() -> Self {
         DemandConfig {
             k: 8,
-            budget: 100_000,
             max_alias_depth: 24,
         }
     }
@@ -82,14 +76,12 @@ impl PtResult {
     }
 }
 
-/// Per-query counters, returned by
-/// [`DemandPointsTo::points_to_with_stats`].
+/// Per-query counters, returned by [`DemandPointsTo::points_to`] and
+/// [`DemandPointsTo::points_to_batch`].
 #[derive(Copy, Clone, Debug, Default)]
 pub struct QueryStats {
     /// Worklist steps taken (including nested alias queries).
     pub steps: u64,
-    /// Memo-table hits that short-circuited a sub-query.
-    pub memo_hits: u64,
     /// `true` when the step budget ran out.
     pub budget_exhausted: bool,
     /// `true` when a cooperative stop token or deadline cut the query
@@ -100,14 +92,12 @@ pub struct QueryStats {
 
 /// Cooperative controls for one governed query.
 ///
-/// A ticket overrides the engine-wide budget and lets a caller thread a
-/// shared cancellation token and a wall-clock deadline through the
-/// traversal. Setting `use_memo` to `false` makes the query hermetic:
-/// it neither reads nor writes the shared memo table, so its step count
-/// — and therefore whether it completes under a given budget — depends
-/// only on the query itself, never on what other threads computed first.
-/// Governed clients that make *decisions* based on completeness need
-/// that determinism; ungoverned clients should keep the memo on.
+/// A ticket carries the step budget and lets a caller thread a shared
+/// cancellation token and a wall-clock deadline through the traversal.
+/// Queries share no results with each other, so a query's step count —
+/// and therefore whether it completes under a given budget — depends
+/// only on the query and its ticket, never on what other threads
+/// computed first.
 #[derive(Copy, Clone, Debug)]
 pub struct QueryTicket<'t> {
     /// Step budget for this query (shared with its nested alias
@@ -118,19 +108,15 @@ pub struct QueryTicket<'t> {
     pub stop: Option<&'t AtomicBool>,
     /// Wall-clock cutoff with the same effect as `stop`.
     pub deadline: Option<Instant>,
-    /// Whether the shared memo table may serve or store results.
-    pub use_memo: bool,
 }
 
 impl<'t> QueryTicket<'t> {
-    /// A hermetic ticket: fixed budget, no external interruption, memo
-    /// bypassed.
+    /// A hermetic ticket: fixed budget, no external interruption.
     pub fn hermetic(budget: usize) -> QueryTicket<'t> {
         QueryTicket {
             budget,
             stop: None,
             deadline: None,
-            use_memo: false,
         }
     }
 }
@@ -201,12 +187,8 @@ pub struct EngineStats {
     pub queries: u64,
     /// Total worklist steps across all queries.
     pub steps: u64,
-    /// Total memo hits.
-    pub memo_hits: u64,
     /// Queries (top-level) that exhausted their budget.
     pub budget_exhaustions: u64,
-    /// Completed results currently memoized.
-    pub memo_entries: usize,
     /// Distinct calling contexts interned.
     pub contexts_interned: usize,
 }
@@ -216,55 +198,7 @@ pub struct EngineStats {
 struct Counters {
     queries: AtomicU64,
     steps: AtomicU64,
-    memo_hits: AtomicU64,
     budget_exhaustions: AtomicU64,
-}
-
-const MEMO_SHARDS: usize = 16;
-
-/// One shard of the memo table: completed query results keyed by
-/// `(node, interned context)`.
-type MemoShard = RwLock<HashMap<(NodeId, CtxId), Arc<PtResult>>>;
-
-/// A sharded `(NodeId, CtxId) → Arc<PtResult>` table. Concurrent queries
-/// on different shards never contend; completed results are shared by
-/// `Arc` instead of deep-cloned.
-struct ShardedMemo {
-    shards: Vec<MemoShard>,
-}
-
-impl ShardedMemo {
-    fn new() -> ShardedMemo {
-        ShardedMemo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &(NodeId, CtxId)) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % MEMO_SHARDS
-    }
-
-    fn get(&self, key: &(NodeId, CtxId)) -> Option<Arc<PtResult>> {
-        // A panicking (quarantined) worker must not poison the memo for
-        // the rest of the run: the table only ever holds finished,
-        // internally consistent `Arc<PtResult>` values, so recovering
-        // the guard is safe.
-        read_resilient(&self.shards[self.shard(key)])
-            .get(key)
-            .cloned()
-    }
-
-    fn insert(&self, key: (NodeId, CtxId), value: Arc<PtResult>) {
-        write_resilient(&self.shards[self.shard(&key)]).insert(key, value);
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_resilient(s).len()).sum()
-    }
 }
 
 /// Mutable state threaded through one top-level query and its nested
@@ -274,9 +208,8 @@ struct QueryState<'t> {
     stats: QueryStats,
     stop: Option<&'t AtomicBool>,
     deadline: Option<Instant>,
-    use_memo: bool,
-    /// `Some` only for traced queries; recording is a single `Option`
-    /// check per edge push when disabled.
+    /// `Some` for single-root queries, which record provenance; `None`
+    /// for batches, which carry none.
     witness: Option<WitnessTape>,
 }
 
@@ -301,9 +234,11 @@ impl QueryState<'_> {
 /// The demand-driven points-to analysis.
 ///
 /// The engine is `Sync`: one instance can serve points-to queries from
-/// many scoped worker threads at once, sharing the context arena and the
-/// memo table (completed sub-query results computed by one thread are
-/// hits for every other).
+/// many scoped worker threads at once, sharing the context arena. Two
+/// entry points: [`DemandPointsTo::points_to_batch`] answers up to 64
+/// roots in one traversal (the refinement verdicts), and
+/// [`DemandPointsTo::points_to`] answers one root with its provenance
+/// (the `--explain`/`--trace` post-pass).
 pub struct DemandPointsTo<'a> {
     program: &'a Program,
     pag: &'a Pag,
@@ -312,8 +247,6 @@ pub struct DemandPointsTo<'a> {
     loads_by_dst: HashMap<NodeId, Vec<LoadStmt>>,
     /// Interned call-string arena shared by all queries.
     interner: ContextInterner,
-    /// Memoized answers for *completed* queries.
-    memo: ShardedMemo,
     counters: Counters,
 }
 
@@ -332,7 +265,6 @@ impl<'a> DemandPointsTo<'a> {
             config,
             loads_by_dst,
             interner: ContextInterner::new(config.k),
-            memo: ShardedMemo::new(),
             counters: Counters::default(),
         }
     }
@@ -353,111 +285,59 @@ impl<'a> DemandPointsTo<'a> {
         EngineStats {
             queries: self.counters.queries.load(Ordering::Relaxed),
             steps: self.counters.steps.load(Ordering::Relaxed),
-            memo_hits: self.counters.memo_hits.load(Ordering::Relaxed),
             budget_exhaustions: self.counters.budget_exhaustions.load(Ordering::Relaxed),
-            memo_entries: self.memo.len(),
             contexts_interned: self.interner.len(),
         }
     }
 
-    /// Points-to query for a [`Node`] under `ctx`.
+    /// Points-to query for one [`Node`] under `ctx`, with the resource
+    /// controls of `ticket`, recording per abstract object in the answer
+    /// the provenance chain the traversal followed from its allocation
+    /// seed to the queried variable.
     ///
-    /// Returns an empty incomplete result for nodes absent from the PAG
-    /// (never-assigned variables).
-    pub fn points_to(&self, node: Node, ctx: &Context) -> PtResult {
-        self.points_to_with_stats(node, ctx).0
-    }
-
-    /// Like [`DemandPointsTo::points_to`], also returning the per-query
-    /// counters.
-    pub fn points_to_with_stats(&self, node: Node, ctx: &Context) -> (PtResult, QueryStats) {
-        self.points_to_ticketed(
-            node,
-            ctx,
-            &QueryTicket {
-                budget: self.config.budget,
-                stop: None,
-                deadline: None,
-                use_memo: true,
-            },
-        )
-    }
-
-    /// Points-to query under explicit resource controls; see
-    /// [`QueryTicket`]. The engine-wide counters still accumulate.
-    pub fn points_to_ticketed(
-        &self,
-        node: Node,
-        ctx: &Context,
-        ticket: &QueryTicket,
-    ) -> (PtResult, QueryStats) {
-        let (result, stats, _) = self.run_query(node, ctx, ticket, false);
-        (result, stats)
-    }
-
-    /// Like [`DemandPointsTo::points_to_ticketed`], additionally
-    /// recording, per abstract object in the answer, the provenance
-    /// chain the traversal followed from its allocation seed to the
-    /// queried variable.
-    ///
-    /// Traced queries always bypass the memo table (a memoized result
-    /// carries no provenance, and determinism requires the recorded
-    /// chain to depend only on the query, never on what other threads
-    /// computed first), so repeated traced queries yield byte-identical
-    /// witnesses.
-    pub fn points_to_traced(
+    /// The traversal is a function of the query and its ticket alone, so
+    /// repeated queries yield identical answers, step counts and
+    /// witnesses. A node absent from the PAG (a never-assigned variable)
+    /// has an empty complete answer. The engine-wide counters accumulate.
+    pub fn points_to(
         &self,
         node: Node,
         ctx: &Context,
         ticket: &QueryTicket,
     ) -> (PtResult, QueryStats, Vec<SiteWitness>) {
-        self.run_query(node, ctx, ticket, true)
-    }
-
-    fn run_query(
-        &self,
-        node: Node,
-        ctx: &Context,
-        ticket: &QueryTicket,
-        traced: bool,
-    ) -> (PtResult, QueryStats, Vec<SiteWitness>) {
-        match self.pag.find(node) {
-            Some(id) => {
-                let mut state = QueryState {
-                    budget: ticket.budget,
-                    stats: QueryStats::default(),
-                    stop: ticket.stop,
-                    deadline: ticket.deadline,
-                    use_memo: ticket.use_memo && !traced,
-                    witness: traced.then(WitnessTape::default),
-                };
-                let result = self.query(id, self.interner.intern(ctx), &mut state, 0);
-                self.counters.queries.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .steps
-                    .fetch_add(state.stats.steps, Ordering::Relaxed);
-                self.counters
-                    .memo_hits
-                    .fetch_add(state.stats.memo_hits, Ordering::Relaxed);
-                if state.stats.budget_exhausted {
-                    self.counters
-                        .budget_exhaustions
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let witnesses = match state.witness.take() {
-                    Some(tape) => self.replay_tape(tape),
-                    None => Vec::new(),
-                };
-                ((*result).clone(), state.stats, witnesses)
-            }
-            None => (
+        let Some(id) = self.pag.find(node) else {
+            return (
                 PtResult {
                     objects: BTreeSet::new(),
                     complete: true,
                 },
                 QueryStats::default(),
                 Vec::new(),
-            ),
+            );
+        };
+        let mut state = QueryState {
+            budget: ticket.budget,
+            stats: QueryStats::default(),
+            stop: ticket.stop,
+            deadline: ticket.deadline,
+            witness: Some(WitnessTape::default()),
+        };
+        let result = self.query(id, self.interner.intern(ctx), &mut state, 0);
+        self.record(&state.stats, 1);
+        let witnesses = self.replay_tape(state.witness.take().unwrap_or_default());
+        (result, state.stats, witnesses)
+    }
+
+    /// Adds one query's (or batch's) spend to the engine-wide counters.
+    fn record(&self, stats: &QueryStats, queries: u64) {
+        self.counters.queries.fetch_add(queries, Ordering::Relaxed);
+        self.counters
+            .steps
+            .fetch_add(stats.steps, Ordering::Relaxed);
+        if stats.budget_exhausted {
+            self.counters
+                .budget_exhaustions
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -507,8 +387,8 @@ impl<'a> DemandPointsTo<'a> {
     ///
     /// Queries rooted in the same method overlap heavily: they reach the
     /// same parameters, the same heap loads, the same library plumbing.
-    /// Run individually (as governed refinement queries are — hermetic,
-    /// memo off), each re-derives that shared frontier from scratch. The
+    /// Run individually, each re-derives that shared frontier from
+    /// scratch. The
     /// batch traversal visits each `(node, context)` state once,
     /// tracking *which roots* reach it in a 64-bit mask, and caches the
     /// state's successor list — including the expensive load-vs-store
@@ -520,9 +400,7 @@ impl<'a> DemandPointsTo<'a> {
     /// per-query budget × batch size); on exhaustion or interruption
     /// *every* root is conservatively marked incomplete, so completeness
     /// stays deterministic — it depends only on the batch and its
-    /// ticket, never on which root "caused" the overrun. The memo table
-    /// is neither read nor written: batch callers are governed clients
-    /// that need hermetic step counts.
+    /// ticket, never on which root "caused" the overrun.
     ///
     /// A complete batch answer for a root is identical to that root's
     /// individual complete answer: both are the closure of the same
@@ -547,7 +425,6 @@ impl<'a> DemandPointsTo<'a> {
             stats: QueryStats::default(),
             stop: ticket.stop,
             deadline: ticket.deadline,
-            use_memo: false,
             witness: None,
         };
         let ctx_id = self.interner.intern(ctx);
@@ -665,17 +542,7 @@ impl<'a> DemandPointsTo<'a> {
             }
         }
 
-        self.counters
-            .queries
-            .fetch_add(roots.len() as u64, Ordering::Relaxed);
-        self.counters
-            .steps
-            .fetch_add(state.stats.steps, Ordering::Relaxed);
-        if state.stats.budget_exhausted {
-            self.counters
-                .budget_exhaustions
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.record(&state.stats, roots.len() as u64);
         let results = objects
             .into_iter()
             .map(|objects| PtResult { objects, complete })
@@ -683,42 +550,17 @@ impl<'a> DemandPointsTo<'a> {
         (results, state.stats)
     }
 
-    /// May the two variables point to the same object? Incomplete queries
-    /// answer `true` (conservative).
-    pub fn may_alias(&self, a: Node, ctx_a: &Context, b: Node, ctx_b: &Context) -> bool {
-        let ra = self.points_to(a, ctx_a);
-        let rb = self.points_to(b, ctx_b);
-        if !ra.complete || !rb.complete {
-            return true;
-        }
-        let sa = ra.sites();
-        let sb = rb.sites();
-        sa.iter().any(|s| sb.contains(s))
-    }
-
     /// Internal CFL traversal, entirely on interned `CtxId` handles: the
     /// visited set hashes `(u32, u32)` pairs and context transitions are
     /// arena reads instead of `Arc<Vec>` clones. Contexts are only
     /// materialized when an allocation seed is recorded.
-    fn query(
-        &self,
-        start: NodeId,
-        ctx: CtxId,
-        state: &mut QueryState,
-        depth: usize,
-    ) -> Arc<PtResult> {
+    fn query(&self, start: NodeId, ctx: CtxId, state: &mut QueryState, depth: usize) -> PtResult {
         let key = (start, ctx);
-        if state.use_memo {
-            if let Some(hit) = self.memo.get(&key) {
-                state.stats.memo_hits += 1;
-                return hit;
-            }
-        }
         if depth > self.config.max_alias_depth {
-            return Arc::new(PtResult {
+            return PtResult {
                 objects: BTreeSet::new(),
                 complete: false,
-            });
+            };
         }
         let mut objects: BTreeSet<CtxObject> = BTreeSet::new();
         let mut complete = true;
@@ -825,11 +667,7 @@ impl<'a> DemandPointsTo<'a> {
             }
         }
 
-        let result = Arc::new(PtResult { objects, complete });
-        if result.complete && state.use_memo {
-            self.memo.insert(key, Arc::clone(&result));
-        }
-        result
+        PtResult { objects, complete }
     }
 }
 
@@ -840,6 +678,14 @@ mod tests {
     use leakchecker_frontend::compile;
     use leakchecker_ir::ids::LocalId;
     use leakchecker_ir::Program;
+
+    const BUDGET: usize = 100_000;
+
+    /// The answer for `node` under the empty context.
+    fn pt(e: &DemandPointsTo<'_>, node: Node) -> PtResult {
+        e.points_to(node, &Context::empty(), &QueryTicket::hermetic(BUDGET))
+            .0
+    }
 
     struct Fixture {
         program: Program,
@@ -878,7 +724,7 @@ mod tests {
     fn direct_allocation() {
         let f = Fixture::new("class C { static void main() { C x = new C(); } }");
         let e = f.engine();
-        let r = e.points_to(f.local("C.main", "x"), &Context::empty());
+        let r = pt(&e, f.local("C.main", "x"));
         assert!(r.complete);
         assert_eq!(r.objects.len(), 1);
     }
@@ -898,18 +744,12 @@ mod tests {
              }",
         );
         let e = f.engine();
-        let rx = e.points_to(f.local("C.main", "x"), &Context::empty());
-        let ry = e.points_to(f.local("C.main", "y"), &Context::empty());
+        let rx = pt(&e, f.local("C.main", "x"));
+        let ry = pt(&e, f.local("C.main", "y"));
         assert!(rx.complete && ry.complete);
         assert_eq!(rx.sites().len(), 1, "{rx:?}");
         assert_eq!(ry.sites().len(), 1, "{ry:?}");
-        assert_ne!(rx.sites(), ry.sites());
-        assert!(!e.may_alias(
-            f.local("C.main", "x"),
-            &Context::empty(),
-            f.local("C.main", "y"),
-            &Context::empty()
-        ));
+        assert!(rx.sites().is_disjoint(&ry.sites()));
     }
 
     #[test]
@@ -927,10 +767,10 @@ mod tests {
              }",
         );
         let e = f.engine();
-        let rj = e.points_to(f.local("Main.main", "j"), &Context::empty());
+        let rj = pt(&e, f.local("Main.main", "j"));
         assert!(rj.complete);
         assert_eq!(rj.sites(), {
-            let ri = e.points_to(f.local("Main.main", "i"), &Context::empty());
+            let ri = pt(&e, f.local("Main.main", "i"));
             ri.sites()
         });
     }
@@ -953,11 +793,11 @@ mod tests {
              }",
         );
         let e = f.engine();
-        let rj = e.points_to(f.local("Main.main", "j"), &Context::empty());
+        let rj = pt(&e, f.local("Main.main", "j"));
         assert!(rj.complete);
         // b1.item only holds i1's object.
         assert_eq!(rj.sites().len(), 1);
-        let ri1 = e.points_to(f.local("Main.main", "i1"), &Context::empty());
+        let ri1 = pt(&e, f.local("Main.main", "i1"));
         assert_eq!(rj.sites(), ri1.sites());
     }
 
@@ -969,24 +809,14 @@ mod tests {
                static void main() { C x = C.id(C.id(C.id(new C()))); }
              }",
         );
-        let pag = &f.pag;
-        let e = DemandPointsTo::new(
-            &f.program,
-            pag,
-            DemandConfig {
-                budget: 2,
-                ..DemandConfig::default()
-            },
-        );
-        let r = e.points_to(f.local("C.main", "x"), &Context::empty());
-        assert!(!r.complete);
-        // Conservative alias answer under exhaustion.
-        assert!(e.may_alias(
+        let e = f.engine();
+        let (r, s, _) = e.points_to(
             f.local("C.main", "x"),
             &Context::empty(),
-            f.local("C.main", "x"),
-            &Context::empty()
-        ));
+            &QueryTicket::hermetic(2),
+        );
+        assert!(!r.complete);
+        assert!(s.budget_exhausted);
     }
 
     #[test]
@@ -1002,7 +832,7 @@ mod tests {
              }",
         );
         let e = f.engine();
-        let r = e.points_to(f.local("C.main", "got"), &Context::empty());
+        let r = pt(&e, f.local("C.main", "got"));
         assert!(r.complete);
         assert_eq!(r.sites().len(), 1);
     }
@@ -1023,9 +853,7 @@ mod tests {
         assert_sync(&e);
         let node = f.local("C.main", "x");
         let results: Vec<PtResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| e.points_to(node, &Context::empty())))
-                .collect();
+            let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| pt(&e, node))).collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for r in &results {
@@ -1039,49 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn query_stats_count_steps_and_memo_hits() {
-        let f = Fixture::new("class C { static void main() { C x = new C(); } }");
-        let e = f.engine();
-        let node = f.local("C.main", "x");
-        let (r1, s1) = e.points_to_with_stats(node, &Context::empty());
-        assert!(r1.complete);
-        assert!(s1.steps > 0);
-        assert!(!s1.budget_exhausted);
-        // Second identical query is a pure memo hit: no traversal steps.
-        let (r2, s2) = e.points_to_with_stats(node, &Context::empty());
-        assert_eq!(r1.objects, r2.objects);
-        assert_eq!(s2.steps, 0);
-        assert_eq!(s2.memo_hits, 1);
-    }
-
-    #[test]
-    fn hermetic_tickets_bypass_the_memo_and_are_deterministic() {
-        let f = Fixture::new(
-            "class C {
-               static C id(C v) { return v; }
-               static void main() { C x = C.id(new C()); }
-             }",
-        );
-        let e = f.engine();
-        let node = f.local("C.main", "x");
-        // Warm the memo with an ordinary query.
-        let warm = e.points_to(node, &Context::empty());
-        assert!(warm.complete);
-        // A hermetic ticket must re-traverse from scratch: identical
-        // step counts on every repetition, zero memo hits, same answer.
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
-        let (r1, s1) = e.points_to_ticketed(node, &Context::empty(), &ticket);
-        let (r2, s2) = e.points_to_ticketed(node, &Context::empty(), &ticket);
-        assert!(r1.complete && r2.complete);
-        assert_eq!(r1.objects, warm.objects);
-        assert_eq!(s1.memo_hits, 0);
-        assert_eq!(s2.memo_hits, 0);
-        assert!(s1.steps > 0);
-        assert_eq!(s1.steps, s2.steps, "memo bypass makes steps reproducible");
-    }
-
-    #[test]
-    fn ticket_budget_overrides_engine_budget() {
+    fn escalated_budget_completes_a_starved_query() {
         let f = Fixture::new(
             "class C {
                static C id(C v) { return v; }
@@ -1090,12 +876,11 @@ mod tests {
         );
         let e = f.engine();
         let node = f.local("C.main", "x");
-        let (r, s) = e.points_to_ticketed(node, &Context::empty(), &QueryTicket::hermetic(2));
+        let (r, s, _) = e.points_to(node, &Context::empty(), &QueryTicket::hermetic(2));
         assert!(!r.complete);
         assert!(s.budget_exhausted);
         assert!(!s.interrupted);
-        let (r2, s2) =
-            e.points_to_ticketed(node, &Context::empty(), &QueryTicket::hermetic(100_000));
+        let (r2, s2, _) = e.points_to(node, &Context::empty(), &QueryTicket::hermetic(BUDGET));
         assert!(r2.complete, "escalated budget finishes: {s2:?}");
         assert!(!s2.budget_exhausted);
     }
@@ -1108,9 +893,9 @@ mod tests {
         let stop = AtomicBool::new(true);
         let ticket = QueryTicket {
             stop: Some(&stop),
-            ..QueryTicket::hermetic(100_000)
+            ..QueryTicket::hermetic(BUDGET)
         };
-        let (r, s) = e.points_to_ticketed(node, &Context::empty(), &ticket);
+        let (r, s, _) = e.points_to(node, &Context::empty(), &ticket);
         assert!(!r.complete);
         assert!(s.interrupted);
         assert!(!s.budget_exhausted);
@@ -1123,9 +908,9 @@ mod tests {
         let node = f.local("C.main", "x");
         let ticket = QueryTicket {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..QueryTicket::hermetic(100_000)
+            ..QueryTicket::hermetic(BUDGET)
         };
-        let (r, s) = e.points_to_ticketed(node, &Context::empty(), &ticket);
+        let (r, s, _) = e.points_to(node, &Context::empty(), &ticket);
         assert!(!r.complete);
         assert!(s.interrupted);
     }
@@ -1145,9 +930,8 @@ mod tests {
              }",
         );
         let e = f.engine();
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
-        let (r, _, witnesses) =
-            e.points_to_traced(f.local("Main.main", "j"), &Context::empty(), &ticket);
+        let ticket = QueryTicket::hermetic(BUDGET);
+        let (r, _, witnesses) = e.points_to(f.local("Main.main", "j"), &Context::empty(), &ticket);
         assert!(r.complete);
         assert_eq!(witnesses.len(), 1, "{witnesses:?}");
         let w = &witnesses[0];
@@ -1171,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_queries_bypass_the_memo_and_are_deterministic() {
+    fn repeated_queries_are_deterministic() {
         let f = Fixture::new(
             "class C {
                static C id(C v) { return v; }
@@ -1180,18 +964,13 @@ mod tests {
         );
         let e = f.engine();
         let node = f.local("C.main", "x");
-        // Warm the memo: a traced query must ignore it.
-        let warm = e.points_to(node, &Context::empty());
-        let ticket = QueryTicket {
-            use_memo: true,
-            ..QueryTicket::hermetic(DemandConfig::default().budget)
-        };
-        let (r1, s1, w1) = e.points_to_traced(node, &Context::empty(), &ticket);
-        let (r2, s2, w2) = e.points_to_traced(node, &Context::empty(), &ticket);
+        let ticket = QueryTicket::hermetic(BUDGET);
+        let (r1, s1, w1) = e.points_to(node, &Context::empty(), &ticket);
+        let (r2, s2, w2) = e.points_to(node, &Context::empty(), &ticket);
         assert!(r1.complete && r2.complete);
-        assert_eq!(r1.objects, warm.objects, "tracing must not change answers");
-        assert_eq!(s1.memo_hits, 0, "traced queries never read the memo");
-        assert_eq!(s1.steps, s2.steps);
+        assert_eq!(r1.objects, r2.objects);
+        assert!(s1.steps > 0);
+        assert_eq!(s1.steps, s2.steps, "step counts depend on the query alone");
         assert_eq!(w1, w2, "witnesses are a function of the query alone");
         assert!(w1.iter().all(|w| w.steps.iter().any(|s| matches!(
             s.kind,
@@ -1217,9 +996,8 @@ mod tests {
              }",
         );
         let e = f.engine();
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
-        let (r, _, witnesses) =
-            e.points_to_traced(f.local("C.main", "got"), &Context::empty(), &ticket);
+        let ticket = QueryTicket::hermetic(BUDGET);
+        let (r, _, witnesses) = e.points_to(f.local("C.main", "got"), &Context::empty(), &ticket);
         assert!(r.complete);
         assert_eq!(witnesses.len(), 1, "{witnesses:?}");
         let steps = &witnesses[0].steps;
@@ -1260,13 +1038,13 @@ mod tests {
             f.local("C.main", "j"),
             f.local("C.main", "i1"),
         ];
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
+        let ticket = QueryTicket::hermetic(BUDGET);
         let (batch, stats) = e.points_to_batch(&roots, &Context::empty(), &ticket);
         assert_eq!(batch.len(), roots.len());
         assert!(stats.steps > 0);
         for (root, result) in roots.iter().zip(&batch) {
             assert!(result.complete);
-            let (solo, _) = e.points_to_ticketed(*root, &Context::empty(), &ticket);
+            let (solo, _, _) = e.points_to(*root, &Context::empty(), &ticket);
             assert_eq!(
                 result.objects, solo.objects,
                 "batch answer for {root:?} diverged from the individual query"
@@ -1302,10 +1080,10 @@ mod tests {
         );
         let e = f.engine();
         let roots = [f.local("Main.main", "x"), f.local("Main.main", "y")];
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
-        let (r_x, s_x) = e.points_to_ticketed(roots[0], &Context::empty(), &ticket);
+        let ticket = QueryTicket::hermetic(BUDGET);
+        let (r_x, s_x, _) = e.points_to(roots[0], &Context::empty(), &ticket);
         assert_eq!(r_x.objects.len(), 1);
-        let (_, s_y) = e.points_to_ticketed(roots[1], &Context::empty(), &ticket);
+        let (_, s_y, _) = e.points_to(roots[1], &Context::empty(), &ticket);
         let (batch, s_batch) = e.points_to_batch(&roots, &Context::empty(), &ticket);
         assert!(batch.iter().all(|r| r.complete));
         assert!(
@@ -1318,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_deterministic_and_hermetic() {
+    fn batch_is_deterministic() {
         let f = Fixture::new(
             "class C {
                static C id(C v) { return v; }
@@ -1330,14 +1108,11 @@ mod tests {
              }",
         );
         let e = f.engine();
-        // Warm the memo; the batch must ignore it.
-        let _ = e.points_to(f.local("C.main", "x"), &Context::empty());
         let roots = [f.local("C.main", "x"), f.local("C.main", "y")];
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
+        let ticket = QueryTicket::hermetic(BUDGET);
         let (r1, s1) = e.points_to_batch(&roots, &Context::empty(), &ticket);
         let (r2, s2) = e.points_to_batch(&roots, &Context::empty(), &ticket);
-        assert_eq!(s1.steps, s2.steps, "hermetic batches repeat exactly");
-        assert_eq!(s1.memo_hits, 0);
+        assert_eq!(s1.steps, s2.steps, "batches repeat exactly");
         for (a, b) in r1.iter().zip(&r2) {
             assert_eq!(a.objects, b.objects);
             assert_eq!(a.complete, b.complete);
@@ -1381,7 +1156,7 @@ mod tests {
             f.program.method_by_path("C.main").unwrap(),
             LocalId::from_index(7),
         );
-        let ticket = QueryTicket::hermetic(DemandConfig::default().budget);
+        let ticket = QueryTicket::hermetic(BUDGET);
         let (batch, _) = e.points_to_batch(&[x, ghost, x], &Context::empty(), &ticket);
         assert_eq!(batch[0].objects.len(), 1);
         assert!(batch[1].objects.is_empty() && batch[1].complete);
@@ -1427,7 +1202,7 @@ mod tests {
             ("Main.build", "fresh"),
         ] {
             let node = f.local(path, name);
-            let demand = e.points_to(node, &Context::empty());
+            let demand = pt(&e, node);
             if demand.complete {
                 let exhaustive = andersen.points_to_node(&f.pag, node);
                 for site in demand.sites() {

@@ -17,7 +17,7 @@
 //! use leakchecker_frontend::compile;
 //! use leakchecker_callgraph::{Algorithm, CallGraph};
 //! use leakchecker_pointsto::pag::{Node, Pag};
-//! use leakchecker_pointsto::demand::{DemandConfig, DemandPointsTo};
+//! use leakchecker_pointsto::demand::{DemandConfig, DemandPointsTo, QueryTicket};
 //! use leakchecker_pointsto::context::Context;
 //! use leakchecker_ir::ids::LocalId;
 //!
@@ -26,7 +26,9 @@
 //! let pag = Pag::build(&unit.program, &cg);
 //! let engine = DemandPointsTo::new(&unit.program, &pag, DemandConfig::default());
 //! let main = unit.program.method_by_path("C.main").unwrap();
-//! let result = engine.points_to(Node::Local(main, LocalId(0)), &Context::empty());
+//! let ticket = QueryTicket::hermetic(100_000);
+//! let (result, _stats, _witnesses) =
+//!     engine.points_to(Node::Local(main, LocalId(0)), &Context::empty(), &ticket);
 //! assert!(result.complete);
 //! assert_eq!(result.objects.len(), 1);
 //! ```

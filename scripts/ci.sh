@@ -33,7 +33,7 @@ echo "==> effects lattice laws + parallel Jacobi equivalence"
 # Satellite suites of the parallel effects fixpoint: the lattice-law
 # battery (the algebraic preconditions of the Jacobi merge) and the
 # exact EffectSummary equivalence sweep (corpus exemplars, large
-# generated subjects, 200 fuzz seeds, witness/fault fallbacks).
+# generated subjects, 200 fuzz seeds, witness and fault-injected runs).
 cargo test -q --offline --test effects_lattice --test effects_parallel
 
 echo "==> fuzz smoke (200 fixed seeds, machine width)"
@@ -278,7 +278,10 @@ fi
 echo "==> witness determinism (--explain/--trace, jobs 1 vs 8, all exemplars)"
 # Witness output is a pure function of the program: for every corpus
 # exemplar the --explain render (modulo the timing header) and the
-# --trace JSONL must be byte-identical at any jobs width.
+# --trace JSONL must be byte-identical at any jobs width. Witnesses are
+# observation only: with its escape-chain and frontier lines (the lines
+# indented four spaces) stripped, the --explain render — governance line
+# included — must equal the plain check render, exit code included.
 for exemplar in tests/corpus/*.jml; do
   name="$(basename "$exemplar" .jml)"
   for jobs in 1 8; do
@@ -286,15 +289,25 @@ for exemplar in tests/corpus/*.jml; do
     "$leakc" check "$exemplar" --explain --jobs "$jobs" \
       --trace "$tmpdir/$name-j$jobs.jsonl" > "$tmpdir/$name-j$jobs.txt"
     rc=$?
+    "$leakc" check "$exemplar" --jobs "$jobs" > "$tmpdir/$name-plain-j$jobs.txt"
+    plain_rc=$?
     set -e
     if [ "$rc" -gt 3 ]; then
       echo "witness determinism: $exemplar (jobs $jobs) exited $rc" >&2
+      exit 1
+    fi
+    if [ "$rc" -ne "$plain_rc" ]; then
+      echo "witness independence: $exemplar (jobs $jobs) exited $rc with --explain, $plain_rc without" >&2
       exit 1
     fi
     # Drop wall-clock timings, the jobs count, and the per-run trace
     # path; everything else must match exactly.
     grep -v '^target \|^  phases:\|trace events written to' \
       "$tmpdir/$name-j$jobs.txt" > "$tmpdir/$name-j$jobs.norm"
+    grep -v '^target \|^  phases:' \
+      "$tmpdir/$name-plain-j$jobs.txt" > "$tmpdir/$name-plain-j$jobs.norm"
+    grep -v '^    ' "$tmpdir/$name-j$jobs.norm" > "$tmpdir/$name-stripped-j$jobs.norm"
+    cmp "$tmpdir/$name-plain-j$jobs.norm" "$tmpdir/$name-stripped-j$jobs.norm"
   done
   cmp "$tmpdir/$name-j1.norm" "$tmpdir/$name-j8.norm"
   cmp "$tmpdir/$name-j1.jsonl" "$tmpdir/$name-j8.jsonl"

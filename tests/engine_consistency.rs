@@ -3,11 +3,13 @@
 //! engine vs the concrete interpreter, and the points-to engines against
 //! each other.
 
-use leakchecker::{check, DetectorConfig};
+use leakchecker::{check, DetectorConfig, GovernorConfig};
 use leakchecker_benchsuite::{all_subjects, evaluate};
 use leakchecker_callgraph::{Algorithm, CallGraph};
 use leakchecker_effects::EffectConfig;
-use leakchecker_pointsto::{Andersen, Context, DemandConfig, DemandPointsTo, Node, Pag};
+use leakchecker_pointsto::{
+    Andersen, Context, DemandConfig, DemandPointsTo, Node, Pag, QueryTicket,
+};
 
 /// The paper-exact single-site-or-⊤ domain must not *miss* leaks the set
 /// domain finds (it collapses to ⊤ and over-reports instead).
@@ -41,9 +43,11 @@ fn bound1_domain_is_no_less_conservative() {
 }
 
 /// Demand-driven points-to answers are contained in Andersen's on every
-/// local of every subject's entry method (stripping contexts).
+/// local of every subject's entry method (stripping contexts), at the
+/// refinement's default per-query budget.
 #[test]
 fn demand_within_andersen_on_subjects() {
+    let ticket = QueryTicket::hermetic(GovernorConfig::default().query_budget);
     for subject in all_subjects() {
         if subject.uses_region {
             continue;
@@ -57,7 +61,7 @@ fn demand_within_andersen_on_subjects() {
         let nlocals = unit.program.method(entry).locals.len();
         for i in 0..nlocals {
             let node = Node::Local(entry, leakchecker_ir::LocalId::from_index(i));
-            let demand = engine.points_to(node, &Context::empty());
+            let (demand, _, _) = engine.points_to(node, &Context::empty(), &ticket);
             if !demand.complete {
                 continue;
             }
