@@ -8,10 +8,11 @@
 //! DSL mirrors the detector's own `--inject` specs:
 //!
 //! * `kill@N[:ms]` — when work request N arrives, the shard "crashes":
-//!   every open connection is closed mid-request and new connections
-//!   are refused. With `:ms`, the shard "restarts" after that many
-//!   milliseconds (the proxy resumes forwarding), which is what walks a
-//!   router's circuit breaker through open → half-open → closed.
+//!   every open connection — idle ones included, as a real process exit
+//!   closes them — is shut down and new connections are refused. With
+//!   `:ms`, the shard "restarts" after that many milliseconds (the proxy
+//!   resumes forwarding), which is what walks a router's circuit
+//!   breaker through open → half-open → closed.
 //! * `stall@N:ms` — work request N stalls for `ms` before being
 //!   forwarded (a wedged socket; hedging territory).
 //! * `drop@N` — the connection carrying work request N is closed
@@ -42,7 +43,7 @@
 //! after injection and byte-compares against a cache-disabled run.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -166,6 +167,11 @@ struct Shared {
     work_frames: Mutex<Vec<String>>,
     killed: Mutex<KillState>,
     stop: AtomicBool,
+    /// Client connections accepted so far (refused ones not counted).
+    accepted: AtomicUsize,
+    /// The open client connections by accept index, so a kill can cut
+    /// them all at once.
+    open: Mutex<Vec<(usize, TcpStream)>>,
 }
 
 impl Shared {
@@ -190,6 +196,9 @@ impl Shared {
     fn kill(&self, revive_ms: Option<u64>) {
         *self.killed.lock().unwrap() =
             Some(revive_ms.map(|ms| Instant::now() + Duration::from_millis(ms)));
+        for (_, stream) in self.open.lock().unwrap().drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -311,6 +320,8 @@ impl ChaosProxy {
             work_frames: Mutex::new(Vec::new()),
             killed: Mutex::new(None),
             stop: AtomicBool::new(false),
+            accepted: AtomicUsize::new(0),
+            open: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_handle = std::thread::spawn(move || {
@@ -326,9 +337,18 @@ impl ChaosProxy {
                         }
                         let _ = stream.set_nonblocking(false);
                         let _ = stream.set_nodelay(true);
+                        let index = accept_shared.accepted.fetch_add(1, Ordering::SeqCst);
+                        if let Ok(clone) = stream.try_clone() {
+                            accept_shared.open.lock().unwrap().push((index, clone));
+                        }
                         let conn_shared = Arc::clone(&accept_shared);
                         std::thread::spawn(move || {
-                            proxy_connection(stream, upstream, &conn_shared)
+                            proxy_connection(stream, upstream, &conn_shared);
+                            conn_shared
+                                .open
+                                .lock()
+                                .unwrap()
+                                .retain(|(i, _)| *i != index);
                         });
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -353,6 +373,11 @@ impl ChaosProxy {
     /// Work requests (check/panic) the fault clock has counted.
     pub fn work_requests_seen(&self) -> usize {
         self.shared.clock.load(Ordering::SeqCst)
+    }
+
+    /// Client connections accepted while the shard was alive.
+    pub fn connections(&self) -> usize {
+        self.shared.accepted.load(Ordering::SeqCst)
     }
 
     /// Lines of any kind forwarded to the shard.

@@ -38,6 +38,7 @@
 pub use leakchecker::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io::{self, BufRead, Write};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,6 +78,11 @@ impl Json {
 const MAX_DEPTH: usize = 64;
 
 struct Reader<'a> {
+    /// The line being parsed; `bytes` is its byte view. Every position
+    /// the reader stops at between tokens is a character boundary, so
+    /// runs of string content are sliced out of `text` without
+    /// re-validating UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -115,54 +121,49 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a string literal in one pass: each run of bytes up to the
+    /// next `"` or `\` is copied as one slice. Both delimiters are
+    /// ASCII, so a run always ends on a character boundary of `text`.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            self.pos += 1;
+            let escape = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b't' => out.push('\t'),
+                b'r' => out.push('\r'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by this protocol;
+                    // map them to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this
-                            // protocol; map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(format!("bad escape \\{}", other as char)),
             }
         }
     }
@@ -268,6 +269,7 @@ impl<'a> Reader<'a> {
 /// Reports the first syntax error with its byte position.
 pub fn parse_json(line: &str) -> Result<Json, String> {
     let mut reader = Reader {
+        text: line,
         bytes: line.as_bytes(),
         pos: 0,
         depth: 0,
@@ -278,6 +280,87 @@ pub fn parse_json(line: &str) -> Result<Json, String> {
         return Err(format!("trailing garbage at byte {}", reader.pos));
     }
     Ok(value)
+}
+
+/// Longest line the daemon and the router read from a peer (64 MiB):
+/// far above the ~4–5 MB `check` frame of a 100k-statement program. A
+/// fixed bound, so a peer that never sends a newline cannot grow a
+/// connection's buffer without limit.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// One line read by [`read_frame`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// A complete line, its `\n` stripped.
+    Line(String),
+    /// The stream ended after these bytes without a `\n`: a client's
+    /// last unterminated line, or a peer that died mid-write.
+    Unterminated(String),
+    /// The stream ended before any byte of a new line.
+    Closed,
+    /// The line grew past the cap before its `\n`; reading stopped
+    /// there.
+    Oversized,
+}
+
+/// Reads one `\n`-terminated line of at most `cap` bytes (the `\n` not
+/// counted), copying each buffered chunk once.
+///
+/// # Errors
+///
+/// A read error before any byte of the line arrived (one after some
+/// bytes reports [`Frame::Unterminated`]), or a line that is not UTF-8
+/// (`InvalidData`).
+pub fn read_frame<R: BufRead>(reader: &mut R, cap: usize) -> io::Result<Frame> {
+    let mut line = Vec::new();
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if line.is_empty() => return Err(e),
+            Err(_) => &[],
+        };
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if line.len() + take > cap {
+            return Ok(Frame::Oversized);
+        }
+        line.extend_from_slice(&chunk[..take]);
+        let at_end = chunk.is_empty();
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_none() && !at_end {
+            continue;
+        }
+        if line.is_empty() && at_end {
+            return Ok(Frame::Closed);
+        }
+        let text =
+            String::from_utf8(line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        return Ok(if at_end {
+            Frame::Unterminated(text)
+        } else {
+            Frame::Line(text)
+        });
+    }
+}
+
+/// Writes `line` and its `\n` in one write, so a frame leaves in one
+/// segment on a `TCP_NODELAY` socket.
+pub fn write_frame<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
+}
+
+/// The one typed refusal of a request line longer than
+/// [`MAX_FRAME_BYTES`]; the connection is closed after it.
+pub fn render_oversized() -> String {
+    render_error(
+        &None,
+        &format!("malformed request: line longer than {MAX_FRAME_BYTES} bytes"),
+    )
 }
 
 /// Governance overrides a `check` request may carry; `None` fields use
@@ -370,11 +453,13 @@ fn request_id(obj: &BTreeMap<String, Json>) -> Result<Option<String>, String> {
 ///
 /// Malformed JSON, a missing/unknown `kind`, or ill-typed fields.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let Json::Obj(obj) = parse_json(line)? else {
+    let Json::Obj(mut obj) = parse_json(line)? else {
         return Err("request must be a JSON object".to_string());
     };
-    let kind = match obj.get("kind") {
-        Some(Json::Str(s)) => s.as_str(),
+    // String fields are moved out of the parsed object, never cloned:
+    // `source` is the bulk of every work frame.
+    let kind = match obj.remove("kind") {
+        Some(Json::Str(s)) => s,
         Some(other) => {
             return Err(format!(
                 "field `kind` must be a string, got {}",
@@ -383,7 +468,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }
         None => return Err("missing field `kind`".to_string()),
     };
-    match kind {
+    match kind.as_str() {
         "health" => Ok(Request::Health),
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
@@ -392,8 +477,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             id: request_id(&obj)?,
         }),
         "check" => {
-            let source = match obj.get("source") {
-                Some(Json::Str(s)) => s.clone(),
+            let source = match obj.remove("source") {
+                Some(Json::Str(s)) => s,
                 Some(other) => {
                     return Err(format!(
                         "field `source` must be a string, got {}",
@@ -412,9 +497,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     ))
                 }
             };
-            let inject = match obj.get("inject") {
+            let inject = match obj.remove("inject") {
                 None | Some(Json::Null) => None,
-                Some(Json::Str(s)) => Some(s.clone()),
+                Some(Json::Str(s)) => Some(s),
                 Some(other) => {
                     return Err(format!(
                         "field `inject` must be a string, got {}",
@@ -435,8 +520,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })
         }
         "delta" => {
-            let source = match obj.get("source") {
-                Some(Json::Str(s)) => s.clone(),
+            let source = match obj.remove("source") {
+                Some(Json::Str(s)) => s,
                 Some(other) => {
                     return Err(format!(
                         "field `source` must be a string, got {}",
@@ -445,13 +530,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
                 None => return Err("delta request missing field `source`".to_string()),
             };
-            let changed = match obj.get("changed") {
+            let changed = match obj.remove("changed") {
                 None | Some(Json::Null) => Vec::new(),
                 Some(Json::Arr(items)) => {
                     let mut names = Vec::with_capacity(items.len());
                     for item in items {
                         match item {
-                            Json::Str(s) => names.push(s.clone()),
+                            Json::Str(s) => names.push(s),
                             other => {
                                 return Err(format!(
                                     "field `changed` must hold strings, got {}",
@@ -469,9 +554,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     ))
                 }
             };
-            let inject = match obj.get("inject") {
+            let inject = match obj.remove("inject") {
                 None | Some(Json::Null) => None,
-                Some(Json::Str(s)) => Some(s.clone()),
+                Some(Json::Str(s)) => Some(s),
                 Some(other) => {
                     return Err(format!(
                         "field `inject` must be a string, got {}",
@@ -924,6 +1009,163 @@ mod tests {
             overrides,
         });
         assert!(line.contains("\"deadline_ms\": 1234"), "{line}");
+    }
+
+    /// A source text of `pieces` random pieces: ASCII runs, 2-, 3- and
+    /// 4-byte characters, and every escape class (quote, backslash,
+    /// newline, tab, carriage return, `\u00XX` controls), so escapes
+    /// land directly next to multi-byte characters.
+    fn random_source(rng: &mut leakchecker_benchsuite::SplitMix64, pieces: usize) -> String {
+        const PIECES: [&str; 16] = [
+            "class A { }",
+            "x",
+            " ",
+            "é",
+            "ß",
+            "€",
+            "漢",
+            "😀",
+            "𝄞",
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "\r",
+            "\u{1}",
+            "\u{1f}",
+        ];
+        let mut out = String::new();
+        for _ in 0..pieces {
+            out.push_str(PIECES[rng.gen_range(0, PIECES.len() as u64) as usize]);
+        }
+        out
+    }
+
+    #[test]
+    fn render_then_parse_round_trips_generated_requests() {
+        let mut rng = leakchecker_benchsuite::SplitMix64::new(0x5EED);
+        for case in 0..500 {
+            let pieces = rng.gen_range(0, 40) as usize;
+            let source = random_source(&mut rng, pieces);
+            let id = match rng.gen_range(0, 3) {
+                0 => None,
+                1 => Some(rng.gen_range(0, 1000).to_string()),
+                _ => Some(format!("\"{}\"", json_escape(&random_source(&mut rng, 3)))),
+            };
+            let maybe = |rng: &mut leakchecker_benchsuite::SplitMix64| {
+                (rng.gen_range(0, 2) == 1).then(|| rng.gen_range(0, 100_000))
+            };
+            let overrides = CheckOverrides {
+                query_budget: maybe(&mut rng).map(|n| n as usize),
+                max_retries: maybe(&mut rng).map(|n| n as u32),
+                deadline_ms: maybe(&mut rng),
+                inject: maybe(&mut rng).map(|n| format!("exhaust@{n}")),
+                explain: false,
+            };
+            let req = if case % 2 == 0 {
+                Request::Check {
+                    id,
+                    source,
+                    overrides: CheckOverrides {
+                        explain: rng.gen_range(0, 2) == 1,
+                        ..overrides
+                    },
+                }
+            } else {
+                let changed = (0..rng.gen_range(0, 3))
+                    .map(|_| random_source(&mut rng, 2))
+                    .collect();
+                Request::Delta {
+                    id,
+                    source,
+                    changed,
+                    overrides,
+                }
+            };
+            let line = render_request(&req);
+            assert_eq!(parse_request(&line).unwrap(), req, "{line}");
+        }
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_characters_decode() {
+        assert_eq!(
+            parse_json(r#""é\n漢\"😀\\ß\u00e9\t𝄞\/\b\f€\r""#).unwrap(),
+            Json::Str("é\n漢\"😀\\ßé\t𝄞/\u{8}\u{c}€\r".to_string())
+        );
+        for (bad, message) in [
+            ("\"é", "unterminated string"),
+            ("\"漢\\", "unterminated escape"),
+            ("\"\\u00", "truncated \\u escape"),
+            ("\"\\u00é\"", "bad \\u escape"),
+            ("\"😀\\q\"", "bad escape \\q"),
+        ] {
+            assert_eq!(parse_json(bad).unwrap_err(), message, "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_four_megabyte_frame_parses_in_linear_time() {
+        // The reader once re-validated the rest of the line per copied
+        // character: minutes for this frame. One pass takes far less
+        // than a second, even unoptimized.
+        let mut rng = leakchecker_benchsuite::SplitMix64::new(4);
+        let mut source = String::new();
+        while source.len() < 4 << 20 {
+            source.push_str(&random_source(&mut rng, 64));
+        }
+        let req = Request::Check {
+            id: Some("1".to_string()),
+            source,
+            overrides: CheckOverrides::default(),
+        };
+        let line = render_request(&req);
+        let start = std::time::Instant::now();
+        let parsed = parse_request(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, req);
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "parsing a {} byte frame took {elapsed:?}",
+            line.len()
+        );
+    }
+
+    #[test]
+    fn frame_reader_bounds_lines_and_reports_how_the_stream_ended() {
+        let read_all = |input: &[u8], cap: usize| {
+            let mut reader = std::io::BufReader::with_capacity(4, input);
+            let mut frames = Vec::new();
+            loop {
+                let frame = read_frame(&mut reader, cap).unwrap();
+                let end = matches!(frame, Frame::Closed | Frame::Oversized);
+                frames.push(frame);
+                if end {
+                    return frames;
+                }
+            }
+        };
+        let line = |s: &str| Frame::Line(s.to_string());
+        assert_eq!(
+            read_all(b"ab\n\nhealth-check\ntail", 12),
+            [
+                line("ab"),
+                line(""),
+                line("health-check"),
+                Frame::Unterminated("tail".to_string()),
+                Frame::Closed
+            ]
+        );
+        assert_eq!(
+            read_all(b"ok\n0123456789abc\nnever read\n", 12),
+            [line("ok"), Frame::Oversized]
+        );
+        assert_eq!(read_all(b"0123456789abc", 12), [Frame::Oversized]);
+        let mut invalid = std::io::BufReader::new(&b"\xff\n"[..]);
+        assert_eq!(
+            read_frame(&mut invalid, 12).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //! scraped from each live shard's `stats` verb.
 
 use crate::protocol::{
-    json_escape, parse_json, parse_request, render_error, render_metrics_ok, render_request,
-    render_unavailable, response_class, Json, Request, ResponseClass,
+    json_escape, parse_json, parse_request, read_frame, render_error, render_metrics_ok,
+    render_oversized, render_request, render_unavailable, response_class, write_frame, Frame, Json,
+    Request, ResponseClass, MAX_FRAME_BYTES,
 };
 use crate::serve::{push_family, serve_http_metrics};
 use crate::{CliOutput, LeakcError};
@@ -51,9 +52,10 @@ use leakchecker::{
     lock_resilient, route_key, BreakerConfig, BreakerStats, CircuitBreaker, HashRing,
 };
 use leakchecker_benchsuite::SplitMix64;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -137,6 +139,81 @@ struct Endpoint {
     restarts: AtomicU64,
     /// Terminal responses this shard produced.
     served: AtomicU64,
+    /// Idle persistent connections to the shard, at most
+    /// [`POOL_IDLE_CAP`]; see [`attempt_roundtrip`].
+    idle: Mutex<Vec<ShardConn>>,
+}
+
+/// Idle connections the router keeps per shard. A busier moment opens
+/// more; a connection returned to a full pool is closed.
+const POOL_IDLE_CAP: usize = 8;
+
+/// One persistent router→shard connection.
+struct ShardConn {
+    reader: BufReader<TcpStream>,
+}
+
+impl ShardConn {
+    fn open(addr: &str, timeout: Duration) -> Result<ShardConn, String> {
+        let sock_addr = addr
+            .to_socket_addrs()
+            .ok()
+            .and_then(|mut a| a.next())
+            .ok_or_else(|| format!("cannot resolve {addr}"))?;
+        let stream = TcpStream::connect_timeout(&sock_addr, timeout)
+            .map_err(|e| format!("connect {addr}: {e}"))?;
+        let _ = stream.set_nodelay(true);
+        Ok(ShardConn {
+            reader: BufReader::new(stream),
+        })
+    }
+
+    /// Writes `line` and reads one response line, each bounded by
+    /// `timeout`.
+    fn exchange(&mut self, addr: &str, line: &str, timeout: Duration) -> Exchange {
+        let mut stream = self.reader.get_ref();
+        let _ = stream.set_read_timeout(Some(timeout));
+        let _ = stream.set_write_timeout(Some(timeout));
+        if let Err(e) = write_frame(&mut stream, line) {
+            return match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                    Exchange::Failed(format!("write {addr}: {e}"))
+                }
+                _ => Exchange::Closed(format!("write {addr}: {e}")),
+            };
+        }
+        match read_frame(&mut self.reader, MAX_FRAME_BYTES) {
+            Ok(Frame::Line(response)) => Exchange::Answer(response),
+            Ok(Frame::Closed) => Exchange::Closed(format!("{addr} closed the connection")),
+            Ok(Frame::Unterminated(_)) => {
+                Exchange::Failed(format!("torn frame from {addr} (no trailing newline)"))
+            }
+            Ok(Frame::Oversized) => Exchange::Failed(format!(
+                "frame from {addr} longer than {MAX_FRAME_BYTES} bytes"
+            )),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+                ) =>
+            {
+                Exchange::Closed(format!("read {addr}: {e}"))
+            }
+            Err(e) => Exchange::Failed(format!("read {addr}: {e}")),
+        }
+    }
+}
+
+/// What one write-then-read on a shard connection produced.
+enum Exchange {
+    /// A complete response line.
+    Answer(String),
+    /// The peer closed or reset the connection before any response
+    /// byte arrived.
+    Closed(String),
+    /// Any other transport failure: a timeout, a torn or oversized
+    /// frame.
+    Failed(String),
 }
 
 /// Router-level counters, exposed by the `stats` verb.
@@ -184,49 +261,54 @@ enum Attempt {
     Failed(String),
 }
 
-/// One request/response round trip against `addr`, bounded by
-/// `timeout` for connect and read. A response line without its
-/// trailing newline (the peer died mid-write) is a torn frame and
-/// counts as a transport failure — exactly the fault the `torn@N`
-/// chaos plan injects.
-fn attempt_roundtrip(addr: &str, line: &str, timeout: Duration) -> Attempt {
-    let Some(sock_addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
-        return Attempt::Failed(format!("cannot resolve {addr}"));
-    };
-    let stream = match TcpStream::connect_timeout(&sock_addr, timeout) {
-        Ok(s) => s,
-        Err(e) => return Attempt::Failed(format!("connect {addr}: {e}")),
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => return Attempt::Failed(format!("clone {addr}: {e}")),
-    };
-    if let Err(e) = writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-    {
-        return Attempt::Failed(format!("write {addr}: {e}"));
-    }
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    match reader.read_line(&mut response) {
-        Ok(0) => Attempt::Failed(format!("{addr} closed the connection")),
-        Err(e) => Attempt::Failed(format!("read {addr}: {e}")),
-        Ok(_) if !response.ends_with('\n') => {
-            Attempt::Failed(format!("torn frame from {addr} (no trailing newline)"))
-        }
-        Ok(_) => {
-            let response = response.trim_end().to_string();
-            match response_class(&response) {
-                ResponseClass::Terminal => Attempt::Terminal(response),
-                ResponseClass::Retryable => Attempt::Refused(response),
-                ResponseClass::Malformed => Attempt::Failed(format!("malformed frame from {addr}")),
+/// One request/response round trip against `ep` over a pooled
+/// connection, bounded by `timeout` for connect, write and read.
+///
+/// A connection goes back into the pool only after a terminal answer;
+/// after a refusal, a timeout or a torn, malformed or oversized frame
+/// it is closed, so a late answer can never be read as the reply to a
+/// later request. A reused connection that the peer closed before any
+/// response byte is a stale idle socket (the shard dropped it while it
+/// sat in the pool, e.g. across a restart), not a shard failure: the
+/// idle pool is discarded and the frame is sent once more on a fresh
+/// connection, and only that attempt's outcome counts. A response line
+/// without its trailing newline (the peer died mid-write) is a torn
+/// frame and counts as a transport failure — exactly the fault the
+/// `torn@N` chaos plan injects.
+fn attempt_roundtrip(ep: &Endpoint, line: &str, timeout: Duration) -> Attempt {
+    let mut pooled = lock_resilient(&ep.idle).pop();
+    loop {
+        let reused = pooled.is_some();
+        let mut conn = match pooled.take() {
+            Some(conn) => conn,
+            None => match ShardConn::open(&ep.addr, timeout) {
+                Ok(conn) => conn,
+                Err(message) => return Attempt::Failed(message),
+            },
+        };
+        let response = match conn.exchange(&ep.addr, line, timeout) {
+            Exchange::Answer(response) => response,
+            Exchange::Closed(_) if reused => {
+                lock_resilient(&ep.idle).clear();
+                continue;
             }
-        }
+            Exchange::Closed(message) | Exchange::Failed(message) => {
+                return Attempt::Failed(message)
+            }
+        };
+        return match response_class(&response) {
+            ResponseClass::Terminal => {
+                let mut idle = lock_resilient(&ep.idle);
+                if idle.len() < POOL_IDLE_CAP && conn.reader.buffer().is_empty() {
+                    idle.push(conn);
+                }
+                Attempt::Terminal(response)
+            }
+            ResponseClass::Retryable => Attempt::Refused(response),
+            ResponseClass::Malformed => {
+                Attempt::Failed(format!("malformed frame from {}", ep.addr))
+            }
+        };
     }
 }
 
@@ -235,7 +317,7 @@ fn attempt_roundtrip(addr: &str, line: &str, timeout: Duration) -> Attempt {
 /// thread and from hedge threads alike.
 fn attempt_and_record(inner: &RouterInner, idx: usize, line: &str, timeout: Duration) -> Attempt {
     let ep = &inner.endpoints[idx];
-    let outcome = attempt_roundtrip(&ep.addr, line, timeout);
+    let outcome = attempt_roundtrip(ep, line, timeout);
     match &outcome {
         Attempt::Terminal(_) => {
             lock_resilient(&ep.breaker).record_success();
@@ -285,52 +367,58 @@ fn remaining_ms(deadline: Option<Instant>) -> Option<u64> {
     deadline.map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64)
 }
 
-/// Re-renders the request with `deadline_ms` rewritten to the
-/// remaining end-to-end budget (`left`, read once by the caller so an
-/// exhausted budget is short-circuited *before* rendering — a
-/// `"deadline_ms": 0` frame must never be dispatched). The shard's
-/// governor sees how much time this attempt really has left (min with
-/// its own `--deadline-ms` ceiling via
-/// `GovernorConfig::tighten_deadline`).
-fn render_attempt(req: &Request, left: Option<u64>) -> String {
-    match (req, left) {
-        (
-            Request::Check {
-                id,
-                source,
-                overrides,
-            },
-            Some(left),
-        ) => {
-            let mut overrides = overrides.clone();
-            overrides.deadline_ms = Some(left);
-            render_request(&Request::Check {
-                id: id.clone(),
-                source: source.clone(),
-                overrides,
-            })
+/// The ring key of a work request: a check's source text, a delta's
+/// id-less canonical frame (so the same edit resent under a fresh id,
+/// as editors do, lands on the same warm primary), otherwise the
+/// canonical frame.
+fn routing_key(req: &mut Request) -> u64 {
+    match req {
+        Request::Check { source, .. } => route_key(source.as_bytes()),
+        Request::Delta { id, .. } => {
+            let id = id.take();
+            let key = route_key(render_request(req).as_bytes());
+            if let Request::Delta { id: slot, .. } = req {
+                *slot = id;
+            }
+            key
         }
-        _ => render_request(req),
+        other => route_key(render_request(other).as_bytes()),
     }
 }
 
-/// Routes one work request to completion: ring placement, breaker
-/// gating, bounded retry with backoff+jitter, optional hedging, and a
-/// typed `unavailable` when every avenue is exhausted.
-fn route_request(inner: &Arc<RouterInner>, req: &Request) -> String {
-    let key = match req {
-        Request::Check { source, .. } => route_key(source.as_bytes()),
-        other => route_key(render_request(other).as_bytes()),
+/// The frame an attempt sends: the client's `line` verbatim, or — when
+/// a check runs under an end-to-end budget — the request re-rendered
+/// with `deadline_ms` rewritten to the remaining budget (`left`, read
+/// once by the caller so an exhausted budget is short-circuited
+/// *before* rendering — a `"deadline_ms": 0` frame must never be
+/// dispatched). The shard's governor sees how much time this attempt
+/// really has left (min with its own `--deadline-ms` ceiling via
+/// `GovernorConfig::tighten_deadline`).
+fn attempt_frame<'a>(req: &mut Request, line: &'a str, left: Option<u64>) -> Cow<'a, str> {
+    let Some(left) = left else {
+        return Cow::Borrowed(line);
     };
+    if let Request::Check { overrides, .. } = req {
+        overrides.deadline_ms = Some(left);
+    }
+    Cow::Owned(render_request(req))
+}
+
+/// Routes one work request, received as `line`, to completion: ring
+/// placement, breaker gating, bounded retry with backoff+jitter,
+/// optional hedging, and a typed `unavailable` when every avenue is
+/// exhausted.
+fn route_request(inner: &Arc<RouterInner>, mut req: Request, line: &str) -> String {
+    let key = routing_key(&mut req);
     let preference = inner.ring.preference(key);
-    let client_deadline = match req {
+    let client_deadline = match &req {
         Request::Check { overrides, .. } => overrides.deadline_ms,
         _ => None,
     };
     let budget_ms = client_deadline.or(inner.options.deadline_ms);
     let deadline = budget_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let id = match req {
-        Request::Check { id, .. } | Request::Panic { id } => id.clone(),
+    let id = match &req {
+        Request::Check { id, .. } | Request::Panic { id } | Request::Delta { id, .. } => id.clone(),
         _ => None,
     };
     let mut jitter = SplitMix64::new(key);
@@ -372,7 +460,7 @@ fn route_request(inner: &Arc<RouterInner>, req: &Request) -> String {
             Some(left) => inner.options.attempt_timeout_ms.min(left.max(1)),
             None => inner.options.attempt_timeout_ms,
         });
-        let frame = render_attempt(req, left);
+        let frame = attempt_frame(&mut req, line, left);
         let outcome = match inner.options.hedge_ms {
             Some(hedge_ms) => hedged_attempt(
                 inner,
@@ -421,9 +509,10 @@ fn hedged_attempt(
     hedge_ms: u64,
 ) -> Attempt {
     let (tx, rx) = std::sync::mpsc::channel::<(bool, Attempt)>();
+    let frame: Arc<str> = Arc::from(frame);
     let primary_tx = tx.clone();
     let primary_inner = Arc::clone(inner);
-    let primary_frame = frame.to_string();
+    let primary_frame = Arc::clone(&frame);
     std::thread::spawn(move || {
         let outcome = attempt_and_record(&primary_inner, primary, &primary_frame, timeout);
         let _ = primary_tx.send((false, outcome));
@@ -438,7 +527,7 @@ fn hedged_attempt(
         inner.telemetry.hedges.fetch_add(1, Ordering::Relaxed);
         let hedge_tx = tx.clone();
         let hedge_inner = Arc::clone(inner);
-        let hedge_frame = frame.to_string();
+        let hedge_frame = Arc::clone(&frame);
         std::thread::spawn(move || {
             let outcome = attempt_and_record(&hedge_inner, idx, &hedge_frame, timeout);
             let _ = hedge_tx.send((true, outcome));
@@ -479,7 +568,7 @@ fn probe_endpoints(inner: &RouterInner) {
             continue;
         }
         let timeout = Duration::from_millis(inner.options.probe_interval_ms.max(50));
-        match attempt_roundtrip(&ep.addr, "{\"kind\": \"health\"}", timeout) {
+        match attempt_roundtrip(ep, "{\"kind\": \"health\"}", timeout) {
             Attempt::Terminal(frame) => {
                 lock_resilient(&ep.breaker).record_success();
                 apply_health_frame(ep, &frame);
@@ -641,8 +730,7 @@ fn scrape_fleet(inner: &RouterInner) -> FleetSums {
     let mut sums = FleetSums::default();
     let timeout = Duration::from_millis(250);
     for ep in &inner.endpoints {
-        let Attempt::Terminal(frame) =
-            attempt_roundtrip(&ep.addr, "{\"kind\": \"stats\"}", timeout)
+        let Attempt::Terminal(frame) = attempt_roundtrip(ep, "{\"kind\": \"stats\"}", timeout)
         else {
             continue;
         };
@@ -862,22 +950,23 @@ fn render_router_metrics(inner: &RouterInner) -> String {
 }
 
 fn route_connection(stream: TcpStream, inner: &Arc<RouterInner>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
+        let line = match read_frame(&mut reader, MAX_FRAME_BYTES) {
+            Ok(Frame::Line(line) | Frame::Unterminated(line)) => line,
+            Ok(Frame::Oversized) => {
+                inner.telemetry.malformed.fetch_add(1, Ordering::Relaxed);
+                let _ = write_frame(&mut writer, &render_oversized());
+                return;
+            }
+            Ok(Frame::Closed) | Err(_) => return,
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let response = match parse_request(line.trim_end()) {
+        let line = line.trim_end();
+        let response = match parse_request(line) {
             // Byte-for-byte the same refusal a shard renders, so a
             // routed fleet and a bare shard are indistinguishable to
             // clients even on the error path.
@@ -894,16 +983,12 @@ fn route_connection(stream: TcpStream, inner: &Arc<RouterInner>) {
             }
             Ok(req) => {
                 inner.in_flight.fetch_add(1, Ordering::SeqCst);
-                let response = route_request(inner, &req);
+                let response = route_request(inner, req, line);
                 inner.in_flight.fetch_sub(1, Ordering::SeqCst);
                 response
             }
         };
-        let result = writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if result.is_err() {
+        if write_frame(&mut writer, &response).is_err() {
             return;
         }
     }
@@ -947,6 +1032,7 @@ impl Router {
                 epoch: AtomicU64::new(0),
                 restarts: AtomicU64::new(0),
                 served: AtomicU64::new(0),
+                idle: Mutex::new(Vec::new()),
             })
             .collect::<Vec<_>>();
         let inner = Arc::new(RouterInner {
@@ -1062,15 +1148,21 @@ impl Router {
             let _ = handle.join();
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
+        let clean = loop {
             if self.inner.in_flight.load(Ordering::SeqCst) == 0 {
-                return true;
+                break true;
             }
             if Instant::now() >= deadline {
-                return false;
+                break false;
             }
             std::thread::sleep(Duration::from_millis(10));
+        };
+        // Close the idle shard connections now rather than when the
+        // last client connection lets go of the router.
+        for ep in &self.inner.endpoints {
+            lock_resilient(&ep.idle).clear();
         }
+        clean
     }
 }
 
@@ -1120,6 +1212,7 @@ pub fn run_route(options: &RouteOptions) -> Result<CliOutput, LeakcError> {
 mod tests {
     use super::*;
     use crate::serve::{ServeOptions, Server};
+    use std::io::BufRead;
 
     const LEAKY: &str = "\
 class Cache { Object[] items; int n;
@@ -1157,6 +1250,33 @@ class Main {
             r#"{{"kind": "check", "id": {id}, "source": "{}"}}"#,
             json_escape(LEAKY)
         )
+    }
+
+    #[test]
+    fn equal_deltas_under_different_ids_share_a_primary() {
+        let delta = |id: &str| {
+            parse_request(&format!(
+                r#"{{"kind": "delta"{id}, "source": "{}", "changed": ["Main.main"]}}"#,
+                json_escape(LEAKY)
+            ))
+            .unwrap()
+        };
+        let ring = HashRing::new(3, 64);
+        let mut first = delta(r#", "id": "edit-1""#);
+        let mut second = delta(r#", "id": 2"#);
+        let mut idless = delta("");
+        let key = routing_key(&mut first);
+        assert_eq!(key, routing_key(&mut second));
+        // An id-less frame keys exactly as before: on its canonical
+        // rendering.
+        assert_eq!(key, routing_key(&mut idless));
+        assert_eq!(key, route_key(render_request(&idless).as_bytes()));
+        assert_eq!(
+            ring.preference(key)[0],
+            ring.preference(routing_key(&mut second))[0]
+        );
+        // Keying leaves the request as it was.
+        assert_eq!(first, delta(r#", "id": "edit-1""#));
     }
 
     #[test]

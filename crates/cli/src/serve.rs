@@ -17,9 +17,9 @@
 //! sockets, then report final counters and exit 0.
 
 use crate::protocol::{
-    parse_request, readdress_response, render_check_ok, render_delta_ok, render_draining,
-    render_error, render_internal, render_metrics_ok, render_overloaded, render_request,
-    CheckOverrides, Request,
+    parse_request, read_frame, readdress_response, render_check_ok, render_delta_ok,
+    render_draining, render_error, render_internal, render_metrics_ok, render_overloaded,
+    render_oversized, write_frame, CheckOverrides, Frame, Request, MAX_FRAME_BYTES,
 };
 use crate::{CliOutput, LeakcError};
 use leakchecker::governor::{parse_fault_plan, GovernorConfig};
@@ -28,7 +28,7 @@ use leakchecker::{
     ServeCore, SubmitError, SummaryCache,
 };
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -891,45 +891,55 @@ fn serve_tcp_connection(stream: TcpStream, inner: &Inner) {
     serve_connection(reader, stream, inner);
 }
 
+/// Longest HTTP request or header line the `--metrics-addr` listener
+/// reads; a scrape needs a few dozen bytes.
+const MAX_HTTP_LINE_BYTES: usize = 8 << 10;
+
 /// One `GET /metrics` scrape on a `--metrics-addr` listener: a minimal
 /// HTTP/1.0 exchange serving the raw text exposition produced by
 /// `render` (called only for a well-formed `GET /metrics`, so a fresh
-/// snapshot is taken per scrape). Any other request line gets a 404.
+/// snapshot is taken per scrape). Any other request line gets a 404, a
+/// request or header line longer than [`MAX_HTTP_LINE_BYTES`] a 431.
 /// One response per connection. Shared by the daemon and the router.
 pub(crate) fn serve_http_metrics(stream: TcpStream, render: impl FnOnce() -> String) {
     // A scraper that never finishes its headers must not pin this
     // thread (the exposition is served inline, even mid-drain).
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let Ok(reader) = stream.try_clone() else {
-        return;
+    let mut reader = BufReader::new(&stream);
+    let mut oversized = false;
+    let request_line = match read_frame(&mut reader, MAX_HTTP_LINE_BYTES) {
+        Ok(Frame::Line(line) | Frame::Unterminated(line)) => line,
+        Ok(Frame::Oversized) => {
+            oversized = true;
+            String::new()
+        }
+        Ok(Frame::Closed) | Err(_) => return,
     };
-    let mut reader = BufReader::new(reader);
-    let mut writer = stream;
-    let mut request_line = String::new();
-    match reader.read_line(&mut request_line) {
-        Ok(0) | Err(_) => return,
-        Ok(_) => {}
-    }
     // Drain the header block (bounded) so well-formed clients see the
     // response after their full request.
-    let mut header = String::new();
-    for _ in 0..64 {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header.trim().is_empty() => break,
-            Ok(_) => {}
+    let mut headers = 0;
+    while !oversized && headers < 64 {
+        match read_frame(&mut reader, MAX_HTTP_LINE_BYTES) {
+            Ok(Frame::Line(header)) if !header.trim().is_empty() => headers += 1,
+            Ok(Frame::Oversized) => oversized = true,
+            _ => break,
         }
     }
     let path_ok = {
         let mut parts = request_line.split_whitespace();
         parts.next() == Some("GET") && parts.next() == Some("/metrics")
     };
-    let (status, body) = if path_ok {
+    let (status, body) = if oversized {
+        (
+            "431 Request Header Fields Too Large",
+            format!("request and header lines are limited to {MAX_HTTP_LINE_BYTES} bytes\n"),
+        )
+    } else if path_ok {
         ("200 OK", render())
     } else {
         ("404 Not Found", "only GET /metrics is served\n".to_string())
     };
+    let mut writer = &stream;
     let _ = write!(
         writer,
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
@@ -960,15 +970,29 @@ fn request_reply_id(req: &Request) -> Option<String> {
     }
 }
 
+/// The coalescing identity of a check: its id-less request fields —
+/// source and effective budgets — hashed directly, without rendering a
+/// second copy of the frame. The fields that make two id-less canonical
+/// frames equal are exactly the fields hashed here.
+fn coalesce_key(source: &str, overrides: &CheckOverrides) -> u64 {
+    let mut h = leakchecker::cache::Fnv::new();
+    h.str(source);
+    h.u64(overrides.query_budget.map_or(0, |n| n as u64 + 1));
+    h.u64(overrides.max_retries.map_or(0, |n| u64::from(n) + 1));
+    h.finish()
+}
+
 fn serve_connection<R: Read, W: Write>(reader: R, mut writer: W, inner: &Inner) {
     let mut reader = BufReader::new(reader);
-    let mut line = String::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return, // client closed (or died)
-            Ok(_) => {}
-        }
+        let line = match read_frame(&mut reader, MAX_FRAME_BYTES) {
+            Ok(Frame::Line(line) | Frame::Unterminated(line)) => line,
+            Ok(Frame::Oversized) => {
+                let _ = write_frame(&mut writer, &render_oversized());
+                return;
+            }
+            Ok(Frame::Closed) | Err(_) => return, // client closed (or died)
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -1039,8 +1063,8 @@ fn serve_connection<R: Read, W: Write>(reader: R, mut writer: W, inner: &Inner) 
             Ok(req) => {
                 let id = request_reply_id(&req);
                 // Identical deterministic checks coalesce onto one
-                // computation. The identity key hashes the canonical
-                // id-less frame — source plus effective config — so
+                // computation. The identity key hashes the id-less
+                // request fields — source plus effective config — so
                 // twins match regardless of their ids; explain,
                 // fault-injected and deadline-carrying runs never
                 // coalesce (their output is not a pure function of
@@ -1053,12 +1077,12 @@ fn serve_connection<R: Read, W: Write>(reader: R, mut writer: W, inner: &Inner) 
                         && !overrides.explain
                         && overrides.deadline_ms.is_none() =>
                     {
+                        let key = coalesce_key(&source, &overrides);
                         let canonical = Request::Check {
                             id: None,
                             source,
                             overrides,
                         };
-                        let key = leakchecker::route_key(render_request(&canonical).as_bytes());
                         (canonical, Some(key))
                     }
                     other => (other, None),
@@ -1087,10 +1111,7 @@ fn serve_connection<R: Read, W: Write>(reader: R, mut writer: W, inner: &Inner) 
                         } else {
                             response
                         };
-                        let result = writer
-                            .write_all(response.as_bytes())
-                            .and_then(|()| writer.write_all(b"\n"))
-                            .and_then(|()| writer.flush());
+                        let result = write_frame(&mut writer, &response);
                         inner.pending_replies.fetch_sub(1, Ordering::SeqCst);
                         if result.is_err() {
                             return;
@@ -1100,11 +1121,7 @@ fn serve_connection<R: Read, W: Write>(reader: R, mut writer: W, inner: &Inner) 
                 }
             }
         };
-        let result = writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if result.is_err() {
+        if write_frame(&mut writer, &response).is_err() {
             return;
         }
     }
@@ -1159,6 +1176,7 @@ pub fn run_serve(options: &ServeOptions) -> Result<CliOutput, LeakcError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
 
     fn quiet_panics<Ret>(f: impl FnOnce() -> Ret) -> Ret {
         let hook = std::panic::take_hook();
@@ -1722,6 +1740,58 @@ class Main {
         let summary = server.drain();
         assert!(summary.drained_cleanly);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn over_cap_line_is_refused_once_while_other_connections_are_served() {
+        let server = Server::start(&ServeOptions::default()).unwrap();
+        let addr = server.local_addr();
+        let (mut reader, mut writer) = client(addr);
+        // One byte past the cap and never a newline: the daemon stops
+        // reading at the cap, so it consumes exactly what was sent.
+        let chunk = vec![b'x'; 1 << 20];
+        let mut left = MAX_FRAME_BYTES + 1;
+        let sender = std::thread::spawn(move || {
+            while left > 0 {
+                let n = left.min(chunk.len());
+                writer.write_all(&chunk[..n]).unwrap();
+                left -= n;
+            }
+        });
+        // Mid-flood, another connection is answered as usual.
+        let (mut r, mut w) = client(addr);
+        let health = roundtrip(&mut r, &mut w, r#"{"kind": "health"}"#);
+        assert!(health.contains("\"state\": \"running\""), "{health}");
+        sender.join().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), crate::protocol::render_oversized());
+        assert!(line.contains("\"status\": \"error\""), "{line}");
+        // Exactly one answer, then the connection is closed.
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+        let health = roundtrip(&mut r, &mut w, r#"{"kind": "health"}"#);
+        assert!(health.contains("\"state\": \"running\""), "{health}");
+        assert!(server.drain().drained_cleanly);
+    }
+
+    #[test]
+    fn over_cap_http_line_gets_a_431() {
+        let server = Server::start(&ServeOptions {
+            metrics_addr: Some("127.0.0.1:0".to_string()),
+            ..ServeOptions::default()
+        })
+        .unwrap();
+        let http = server.metrics_addr().expect("metrics listener bound");
+        let mut stream = TcpStream::connect(http).expect("connect metrics");
+        // Exactly one byte past the cap, so the listener has read all
+        // of it when it answers.
+        let line = format!("GET /{}", "a".repeat(MAX_HTTP_LINE_BYTES - 4));
+        stream.write_all(line.as_bytes()).unwrap();
+        let mut body = String::new();
+        let _ = stream.read_to_string(&mut body);
+        assert!(body.starts_with("HTTP/1.0 431"), "{body}");
+        assert!(server.drain().drained_cleanly);
     }
 
     #[cfg(unix)]

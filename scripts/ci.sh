@@ -275,6 +275,16 @@ else
     --fleet 3 --clients 4 --requests 25 --workers 2
 fi
 
+echo "==> perfbench (build, unit tests, 5 s fleet-edit smoke)"
+# The benchmark is a package of its own (perfbench/Cargo.toml, outside
+# the workspace) that links the protocol codec, Router and Server, so
+# nothing above builds it. The fleet-edit smoke drives a routed two-shard
+# fleet and exits 0 only when every frame was judged correct.
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload fleet-edit --seed 0 --seconds 5 --trace 0
+
 echo "==> witness determinism (--explain/--trace, jobs 1 vs 8, all exemplars)"
 # Witness output is a pure function of the program: for every corpus
 # exemplar the --explain render (modulo the timing header) and the
