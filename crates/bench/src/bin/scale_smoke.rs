@@ -3,28 +3,35 @@
 //! `--jobs-list`, and fails on
 //!
 //! * a wall-clock regression — the sequential end-to-end time must stay
-//!   under `--ceiling` seconds;
-//! * a scaling regression — the widest run must reach `--min-speedup`
-//!   over sequential end-to-end, and its effects phase must reach
-//!   `--min-effects-speedup` over the sequential effects phase (the
-//!   Jacobi-rounds gate); both asserted only when the machine actually
-//!   has that many cores (a 1-CPU container cannot show parallel
-//!   speedup, so the assertions are skipped with a notice there);
+//!   under `--ceiling` seconds, and the sequential effects phase under
+//!   [`EFFECTS_SECS_PER_100K`] per 100k requested statements;
+//! * a work regression — the effects phase may copy at most
+//!   [`LOCALS_COPIED_PER_STMT`] frame slots per requested statement (an
+//!   exact counter, so the gate holds on any machine width, 1-CPU CI
+//!   containers included);
 //! * any determinism violation — `scaling_sweep` byte-compares the
 //!   rendered reports across widths before timing anything.
 //!
 //! ```text
 //! cargo run -p leakchecker-bench --release --bin scale_smoke -- \
-//!   --stmts 100000 --ceiling 60 --min-speedup 2.0 --min-effects-speedup 2.0
+//!   --stmts 100000 --ceiling 60 --jobs-list 1,2
 //! ```
 
 use leakchecker_bench::{render_scaling, scaling_sweep};
 
+/// Sequential effects-phase ceiling per 100k requested statements: 0.4 s
+/// on the 100k subject, against ~0.09 s for in-place branches and
+/// 1.0–1.4 s when every branch copied the caller's whole frame (2 vCPU).
+const EFFECTS_SECS_PER_100K: f64 = 0.4;
+
+/// Frame-slot copies allowed per requested statement: 1 M on the 100k
+/// subject, against ~116 k for in-place branches and ~15.9 M when every
+/// branch copied the caller's whole frame.
+const LOCALS_COPIED_PER_STMT: usize = 10;
+
 struct Args {
     stmts: usize,
     ceiling_secs: f64,
-    min_speedup: f64,
-    min_effects_speedup: f64,
     jobs_list: Vec<usize>,
 }
 
@@ -32,9 +39,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         stmts: 100_000,
         ceiling_secs: 120.0,
-        min_speedup: 2.0,
-        min_effects_speedup: 2.0,
-        jobs_list: vec![1, 4],
+        jobs_list: vec![1, 2],
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -54,12 +59,6 @@ fn parse_args() -> Args {
             "--ceiling" => {
                 args.ceiling_secs = next("seconds").parse::<f64>().unwrap_or_else(|_| bad())
             }
-            "--min-speedup" => {
-                args.min_speedup = next("a ratio").parse::<f64>().unwrap_or_else(|_| bad())
-            }
-            "--min-effects-speedup" => {
-                args.min_effects_speedup = next("a ratio").parse::<f64>().unwrap_or_else(|_| bad())
-            }
             "--jobs-list" => {
                 args.jobs_list = next("a comma list")
                     .split(',')
@@ -67,10 +66,7 @@ fn parse_args() -> Args {
                     .collect()
             }
             _ => {
-                eprintln!(
-                    "usage: scale_smoke [--stmts N] [--ceiling SECS] [--min-speedup X] \
-                     [--min-effects-speedup X] [--jobs-list N,N,...]"
-                );
+                eprintln!("usage: scale_smoke [--stmts N] [--ceiling SECS] [--jobs-list N,N,...]");
                 std::process::exit(2);
             }
         }
@@ -87,6 +83,11 @@ fn bad() -> ! {
     std::process::exit(2);
 }
 
+fn fail(message: String) -> ! {
+    eprintln!("FAIL: {message}");
+    std::process::exit(1);
+}
+
 fn main() {
     let args = parse_args();
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -99,69 +100,35 @@ fn main() {
 
     let seq = &points[0];
     if seq.statements < args.stmts * 4 / 5 {
-        eprintln!(
-            "FAIL: generated only {} statements, wanted at least {}",
+        fail(format!(
+            "generated only {} statements, wanted at least {}",
             seq.statements,
             args.stmts * 4 / 5
-        );
-        std::process::exit(1);
+        ));
     }
     if seq.secs > args.ceiling_secs {
-        eprintln!(
-            "FAIL: sequential analysis took {:.2}s, ceiling is {:.2}s",
+        fail(format!(
+            "sequential analysis took {:.2}s, ceiling is {:.2}s",
             seq.secs, args.ceiling_secs
-        );
-        std::process::exit(1);
+        ));
     }
-    let widest = points
-        .iter()
-        .max_by_key(|p| p.jobs)
-        .expect("jobs list is non-empty");
-    if widest.jobs > 1 {
-        if width >= widest.jobs {
-            if widest.speedup < args.min_speedup {
-                eprintln!(
-                    "FAIL: speedup at jobs={} is {:.2}x, floor is {:.2}x",
-                    widest.jobs, widest.speedup, args.min_speedup
-                );
-                std::process::exit(1);
-            }
-            // The Jacobi-rounds gate: the effects phase itself must
-            // scale, not just ride along on the flows/refine speedup.
-            let effects_speedup = if widest.effects_secs > 0.0 {
-                seq.effects_secs / widest.effects_secs
-            } else {
-                0.0
-            };
-            if effects_speedup < args.min_effects_speedup {
-                eprintln!(
-                    "FAIL: effects-phase speedup at jobs={} is {:.2}x \
-                     ({:.3}s -> {:.3}s), floor is {:.2}x",
-                    widest.jobs,
-                    effects_speedup,
-                    seq.effects_secs,
-                    widest.effects_secs,
-                    args.min_effects_speedup
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "OK: {:.2}x at jobs={} (floor {:.2}x), effects {:.2}x (floor {:.2}x), \
-                 sequential {:.2}s (ceiling {:.2}s)",
-                widest.speedup,
-                widest.jobs,
-                args.min_speedup,
-                effects_speedup,
-                args.min_effects_speedup,
-                seq.secs,
-                args.ceiling_secs
-            );
-        } else {
-            println!(
-                "OK: sequential {:.2}s under ceiling {:.2}s; speedup floor skipped \
-                 (machine width {width} < jobs={}, no parallel speedup is observable)",
-                seq.secs, args.ceiling_secs, widest.jobs
-            );
-        }
+    let effects_ceiling = EFFECTS_SECS_PER_100K * args.stmts as f64 / 100_000.0;
+    if seq.effects_secs > effects_ceiling {
+        fail(format!(
+            "sequential effects phase took {:.3}s, ceiling is {effects_ceiling:.3}s",
+            seq.effects_secs
+        ));
     }
+    let copy_budget = LOCALS_COPIED_PER_STMT * args.stmts;
+    if seq.locals_copied > copy_budget {
+        fail(format!(
+            "effects copied {} frame slots, budget is {copy_budget}",
+            seq.locals_copied
+        ));
+    }
+    println!(
+        "OK: sequential {:.2}s (ceiling {:.2}s), effects {:.3}s (ceiling {effects_ceiling:.3}s), \
+         {} frame slots copied (budget {copy_budget})",
+        seq.secs, args.ceiling_secs, seq.effects_secs, seq.locals_copied
+    );
 }

@@ -10,8 +10,8 @@
 
 use leakchecker::parallel::{effective_jobs, parallel_map};
 use leakchecker::{
-    check, compute_keys, json_escape, render_all, AnalysisResult, CacheStats, CheckTarget,
-    DetectorConfig, SummaryCache,
+    check, json_escape, render_all, AnalysisResult, CacheStats, CheckTarget, DetectorConfig,
+    SummaryCache, TargetKeys,
 };
 use leakchecker_benchsuite::{
     all_subjects, by_name, evaluate, generate, generate_large, GenConfig, LargeConfig, Subject,
@@ -52,7 +52,7 @@ pub struct TableRow {
     pub fallbacks: u64,
     /// Reports tagged `Degraded` rather than `Precise`.
     pub degraded_reports: usize,
-    /// Jacobi rounds the effects fixpoint ran (jobs-independent).
+    /// Designated-loop rounds the effects fixpoint ran (jobs-independent).
     pub effects_rounds: usize,
     /// The effect summary hit the inlining depth cap (sound but
     /// conservative; 0 expected on every registry subject).
@@ -257,11 +257,12 @@ pub struct ScalingPoint {
     pub jobs: usize,
     /// Resolved width (after mapping `0` to the machine width).
     pub eff_jobs: usize,
-    /// Best-of-N end-to-end wall-clock, in seconds.
+    /// Best-of-N end-to-end wall-clock, in seconds. Every phase below
+    /// is from that same run.
     pub secs: f64,
     /// Flows-closure phase seconds (SCC waves — the widest phase).
     pub flows_secs: f64,
-    /// Effects-fixpoint phase seconds (parallel Jacobi rounds).
+    /// Effects-fixpoint phase seconds.
     pub effects_secs: f64,
     /// Refinement phase seconds (batched demand queries).
     pub refine_secs: f64,
@@ -273,14 +274,16 @@ pub struct ScalingPoint {
     pub efficiency: f64,
     /// Reports found (byte-identical across the sweep by construction).
     pub reports: usize,
+    /// Frame slots the effects phase copied (exact; jobs-independent).
+    pub locals_copied: usize,
 }
 
 /// Runs the parallel-scaling sweep the issue's Table-1 extension asks
 /// for: one seed-deterministic large subject (about `target_statements`
 /// statements), analyzed once per width in `jobs_list`, each width timed
-/// as best-of-`samples` after one warmup. The rendered reports of every
-/// width are asserted byte-identical against the first width before any
-/// timing is trusted. The speedup baseline is the `jobs = 1` point if
+/// as best-of-`samples` after one warmup, with the phase split of the
+/// best run. The rendered reports of every width are asserted
+/// byte-identical against the first width before any timing is trusted. The speedup baseline is the `jobs = 1` point if
 /// the list has one, else the first point.
 ///
 /// # Panics
@@ -312,14 +315,14 @@ pub fn scaling_sweep(
     let mut timed = Vec::with_capacity(jobs_list.len());
     let mut expected: Option<String> = None;
     for &jobs in jobs_list {
-        let result = run(jobs);
-        let rendered = render_all(&result.program, &result.reports);
+        let checked = run(jobs);
+        let rendered = render_all(&checked.program, &checked.reports);
         match &expected {
             None => expected = Some(rendered),
             Some(e) => assert_eq!(*e, rendered, "jobs={jobs} changed the rendered reports"),
         }
-        let secs = stopwatch::measure_best(0, samples, || run(jobs)).as_secs_f64();
-        timed.push((jobs, result, secs));
+        let (best, result) = stopwatch::measure_best(0, samples, || run(jobs));
+        timed.push((jobs, result, best.as_secs_f64()));
     }
 
     // Second pass: speedups relative to the jobs = 1 point (or the first
@@ -358,6 +361,7 @@ pub fn scaling_sweep(
                     0.0
                 },
                 reports: result.reports.len(),
+                locals_copied: result.stats.effects_locals_copied,
             }
         })
         .collect()
@@ -508,11 +512,13 @@ pub fn warm_cold_sweep(
         "seed run degraded; degraded results are never cached"
     );
     let resolved = leakchecker::target::resolve(&unit.program, target).expect("target resolves");
-    let keys = compute_keys(&resolved.program, resolved.root, seed_config.callgraph);
+    let mut keys = TargetKeys::new(resolved, seed_config.callgraph, |d| {
+        store.remembered_root(d)
+    });
     let cached = cached_target_of(&seed, json_fragment_of(target, &seed));
+    let key = keys.result_key(target, &seed_config);
     store
-        .record(keys.result_key(target, &seed_config), &cached)
-        .and_then(|()| store.sync_methods(&keys))
+        .record_target(&mut keys, key, &cached)
         .expect("seed run records");
 
     jobs_list
@@ -530,7 +536,7 @@ pub fn warm_cold_sweep(
             let start = Instant::now();
             let resolved =
                 leakchecker::target::resolve(&edited.program, target).expect("target resolves");
-            let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
+            let keys = TargetKeys::new(resolved, config.callgraph, |d| store.remembered_root(d));
             let hit = store.lookup(keys.result_key(target, &config));
             let warm_secs = start.elapsed().as_secs_f64();
 
@@ -602,24 +608,31 @@ pub fn chaos_recovery_check(
 
     let cold = check(&unit.program, target, config).expect("cold run analyzes");
     let cold_report = render_all(&cold.program, &cold.reports);
-    let resolved = leakchecker::target::resolve(&unit.program, target).expect("target resolves");
-    let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
-    let result_key = keys.result_key(target, &config);
+    let key_with = |store: &SummaryCache| {
+        let resolved =
+            leakchecker::target::resolve(&unit.program, target).expect("target resolves");
+        TargetKeys::new(resolved, config.callgraph, |d| store.remembered_root(d))
+    };
 
     let cache_file = {
         let mut store = SummaryCache::open(cache_dir).map_err(|e| format!("cache open: {e}"))?;
+        let mut keys = key_with(&store);
+        let result_key = keys.result_key(target, &config);
         store
-            .record(
+            .record_target(
+                &mut keys,
                 result_key,
                 &cached_target_of(&cold, json_fragment_of(target, &cold)),
             )
-            .and_then(|()| store.sync_methods(&keys))
             .map_err(|e| format!("cache seed: {e}"))?;
         store.file_path().to_path_buf()
     };
     let applied = chaos::apply_disk_plan(&cache_file, &plan)?;
 
+    // The warm path keys through the reopened store, so a damaged
+    // digest record is exercised too (it must degrade to a full key).
     let mut store = SummaryCache::open(cache_dir).map_err(|e| format!("cache reopen: {e}"))?;
+    let result_key = key_with(&store).result_key(target, &config);
     let (warm_hit, warm_report) = match store.lookup(result_key) {
         Some(hit) => (true, hit.report),
         None => {
@@ -719,7 +732,8 @@ pub fn render_json(rows: &[TableRow], sweep: &[SweepPoint], scaling: &[ScalingPo
             "    {{\"target_statements\": {}, \"statements\": {}, \"methods\": {}, \
              \"jobs\": {}, \"eff_jobs\": {}, \"secs\": {:.6}, \"flows_secs\": {:.6}, \
              \"effects_secs\": {:.6}, \"refine_secs\": {:.6}, \"other_secs\": {:.6}, \
-             \"speedup\": {:.3}, \"efficiency\": {:.3}, \"reports\": {}}}",
+             \"speedup\": {:.3}, \"efficiency\": {:.3}, \"reports\": {}, \
+             \"locals_copied\": {}}}",
             p.target_statements,
             p.statements,
             p.methods,
@@ -732,7 +746,8 @@ pub fn render_json(rows: &[TableRow], sweep: &[SweepPoint], scaling: &[ScalingPo
             p.other_secs,
             p.speedup,
             p.efficiency,
-            p.reports
+            p.reports,
+            p.locals_copied
         );
         out.push_str(if i + 1 < scaling.len() { ",\n" } else { "\n" });
     }
@@ -1077,6 +1092,11 @@ mod tests {
             assert!(p.secs > 0.0);
             assert!(p.flows_secs >= 0.0 && p.refine_secs >= 0.0 && p.other_secs >= 0.0);
             assert!(p.effects_secs >= 0.0);
+            // The phases come from the run whose total is reported.
+            for phase in [p.flows_secs, p.effects_secs, p.refine_secs, p.other_secs] {
+                assert!(phase <= p.secs, "phase {phase}s exceeds total {}s", p.secs);
+            }
+            assert_eq!(p.locals_copied, points[0].locals_copied);
         }
         let text = render_scaling(&points);
         assert!(text.contains("speedup"));

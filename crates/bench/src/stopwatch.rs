@@ -43,21 +43,26 @@ impl Sample {
 
 /// Runs `f` untimed `warmups` times (to settle allocator state, caches
 /// and branch predictors), then `samples` timed times, and returns the
-/// fastest duration. Best-of-N is the standard noise filter for
-/// wall-clock scaling measurements: interference from the rest of the
-/// machine only ever slows a run down, so the minimum is the closest
-/// observable to the true cost. `samples` is clamped to at least 1.
-pub fn measure_best<R>(warmups: usize, samples: usize, mut f: impl FnMut() -> R) -> Duration {
+/// fastest duration together with that run's result, so figures read
+/// off the result (phase splits) describe the run whose time is
+/// reported. Best-of-N is the standard noise filter for wall-clock
+/// scaling measurements: interference from the rest of the machine only
+/// ever slows a run down, so the minimum is the closest observable to
+/// the true cost. `samples` is clamped to at least 1.
+pub fn measure_best<R>(warmups: usize, samples: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     for _ in 0..warmups {
         black_box(f());
     }
-    let mut best = Duration::MAX;
+    let mut best: Option<(Duration, R)> = None;
     for _ in 0..samples.max(1) {
         let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed());
+        let result = black_box(f());
+        let elapsed = start.elapsed();
+        if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
+            best = Some((elapsed, result));
+        }
     }
-    best
+    best.expect("at least one sample ran")
 }
 
 /// Runs `f` once as warmup and `samples` timed times, printing one
@@ -106,12 +111,13 @@ mod tests {
     #[test]
     fn measure_best_runs_warmups_and_returns_a_sampled_time() {
         let mut n = 0u64;
-        let best = measure_best(3, 4, || {
+        let (best, result) = measure_best(3, 4, || {
             n += 1;
             std::hint::black_box(n)
         });
         assert_eq!(n, 7, "3 warmups + 4 samples");
         assert!(best < Duration::MAX);
+        assert!((4..=7).contains(&result), "the result of a timed sample");
         // Zero samples still measures once (the clamp).
         let mut m = 0u64;
         let _ = measure_best(0, 0, || {

@@ -12,8 +12,8 @@ pub use serve::{install_signal_handlers, run_serve, ServeOptions, Server};
 
 use leakchecker::governor::{parse_fault_plan, FaultPlan, GovernorConfig};
 use leakchecker::{
-    cacheable_config, check, compute_keys, render_all, write_atomic, CachedTarget, CheckTarget,
-    DetectorConfig, SummaryCache,
+    cacheable_config, check, render_all, write_atomic, CachedTarget, CheckTarget, DetectorConfig,
+    SummaryCache, TargetKeys,
 };
 use leakchecker_callgraph::Algorithm;
 use leakchecker_dynbaseline::{detect as dyn_detect, heap_growth_curve, DynConfig};
@@ -968,7 +968,8 @@ pub fn json_fragment_of(target: CheckTarget, result: &leakchecker::AnalysisResul
         "{{\"target\": \"{}\", \"methods\": {}, \"statements\": {}, \
          \"loop_objects\": {}, \"leaking_sites\": {}, \
          \"degraded_reports\": {}, \"effects_rounds\": {}, \
-         \"effects_truncated\": {}, \"reports\": [{}]}}",
+         \"effects_locals_copied\": {}, \"effects_truncated\": {}, \
+         \"reports\": [{}]}}",
         protocol::json_escape(&format!("{target:?}")),
         result.stats.methods,
         result.stats.statements,
@@ -976,6 +977,7 @@ pub fn json_fragment_of(target: CheckTarget, result: &leakchecker::AnalysisResul
         result.stats.leaking_sites,
         result.stats.degraded_reports,
         result.stats.effects_rounds,
+        result.stats.effects_locals_copied,
         result.stats.effects_truncated,
         reports.join(", ")
     )
@@ -1139,13 +1141,15 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
             let mut json_targets: Vec<String> = Vec::new();
             let mut trace_lines: Vec<String> = Vec::new();
             for target in targets {
-                let keyed = store.as_ref().map(|_| {
+                let keyed = store.as_ref().map(|store| {
                     let resolved = leakchecker::target::resolve(&unit.program, target)
                         .map_err(|e| LeakcError::Input(e.to_string()))?;
-                    let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
+                    let keys = TargetKeys::new(resolved, config.callgraph, |digest| {
+                        store.remembered_root(digest)
+                    });
                     Ok::<_, LeakcError>((keys.result_key(target, &config), keys))
                 });
-                let keyed = match keyed {
+                let mut keyed = match keyed {
                     Some(r) => Some(r?),
                     None => None,
                 };
@@ -1165,17 +1169,14 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
                 }
                 let fragment = json_fragment_of(target, &result);
                 json_targets.push(fragment.clone());
-                if let (Some(store), Some((key, keys))) = (store.as_mut(), keyed.as_ref()) {
+                if let (Some(store), Some((key, keys))) = (store.as_mut(), keyed.as_mut()) {
                     // Degraded results depend on budget luck, not
                     // content — never persist them.
                     if !result.stats.is_degraded() {
                         let entry = cached_target_of(&result, fragment);
-                        store
-                            .record(*key, &entry)
-                            .and_then(|()| store.sync_methods(keys))
-                            .map_err(|e| {
-                                LeakcError::Input(format!("cannot write cache record: {e}"))
-                            })?;
+                        store.record_target(keys, *key, &entry).map_err(|e| {
+                            LeakcError::Input(format!("cannot write cache record: {e}"))
+                        })?;
                     }
                 }
                 let _ = writeln!(
@@ -1189,15 +1190,12 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
                     result.stats.time_secs
                 );
                 let p = result.stats.phases;
-                // `effects_regions` is jobs- and machine-width-dependent,
-                // so it lives on this timing line (normalized away by the
-                // CI determinism compare), never on the governance line.
                 let _ = writeln!(
                     out,
                     "  phases: callgraph {:.3}s, effects {:.3}s, flows {:.3}s, \
                      contexts {:.3}s, refine {:.3}s, matching {:.3}s  \
                      ({} flow edges, {} candidates, {} refuted, {} jobs; \
-                     effects: {} rounds, {} regions)",
+                     effects: {} rounds, {} locals copied)",
                     p.callgraph_secs,
                     p.effects_secs,
                     p.flows_secs,
@@ -1209,7 +1207,7 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
                     result.stats.refuted_candidates,
                     result.stats.jobs,
                     result.stats.effects_rounds,
-                    result.stats.effects_regions
+                    result.stats.effects_locals_copied
                 );
                 let s = result.stats;
                 let _ = writeln!(
@@ -1594,7 +1592,7 @@ mod tests {
         assert!(text.contains("governance:"), "{text}");
         assert!(text.contains("2 jobs"), "{text}");
         assert!(text.contains("rounds"), "{text}");
-        assert!(text.contains("regions"), "{text}");
+        assert!(text.contains("locals copied"), "{text}");
         assert!(text.contains("effects truncated: no"), "{text}");
         assert!(text.contains("new Item"), "{text}");
     }

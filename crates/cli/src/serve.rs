@@ -24,8 +24,8 @@ use crate::protocol::{
 use crate::{CliOutput, LeakcError};
 use leakchecker::governor::{parse_fault_plan, GovernorConfig};
 use leakchecker::{
-    cacheable_config, check, compute_keys, render_all, CheckTarget, DetectorConfig, ServeConfig,
-    ServeCore, SubmitError, SummaryCache,
+    cacheable_config, check, render_all, CheckTarget, DetectorConfig, ServeConfig, ServeCore,
+    SubmitError, SummaryCache, TargetKeys,
 };
 use std::fmt::Write as _;
 use std::io::{BufReader, Read, Write};
@@ -197,7 +197,7 @@ struct Telemetry {
     // demand engine, and escape chains rendered into responses.
     trace_events: AtomicU64,
     witness_chains: AtomicU64,
-    // Effects-fixpoint counters: Jacobi rounds across served checks,
+    // Effects-fixpoint counters: designated-loop rounds across served checks,
     // and checks whose effect summary hit the inlining depth cap.
     effects_rounds: AtomicU64,
     effects_truncated: AtomicU64,
@@ -436,7 +436,7 @@ struct CheckOutcome {
     invalidated: u64,
     /// Stored methods whose exact content hash drifted (verified
     /// against the store, not trusted from the client's `changed`
-    /// field); empty when no cache is configured.
+    /// field); computed for `delta` only, empty without a cache.
     changed: Vec<String>,
 }
 
@@ -450,13 +450,15 @@ struct CheckOutcome {
 /// deadlines in play) answer from the store when their content key
 /// matches and are recorded after a cold run — so `check` warms the
 /// cache and `delta` re-checks against it; the two verbs differ only
-/// in the accounting their responses carry.
+/// in the accounting their responses carry, so only a `delta` pays for
+/// the changed set.
 fn run_check_source(
     telemetry: &Telemetry,
     source: &str,
     overrides: &CheckOverrides,
     shard_deadline_ms: Option<u64>,
     cache: Option<&Mutex<SummaryCache>>,
+    delta: bool,
 ) -> Result<CheckOutcome, String> {
     let defaults = GovernorConfig::default();
     let faults = match &overrides.inject {
@@ -491,19 +493,24 @@ fn run_check_source(
     // The cache only engages for runs whose output is a pure function
     // of the content key.
     let cache = cache.filter(|_| cacheable_config(&config));
-    let keyed: Vec<Option<(u64, leakchecker::ProgramKeys)>> = targets
+    let mut keyed: Vec<Option<(u64, TargetKeys)>> = targets
         .iter()
         .map(|&target| {
-            let _ = cache?;
+            let cache = cache?;
             let resolved = leakchecker::target::resolve(&unit.program, target).ok()?;
-            let keys = compute_keys(&resolved.program, resolved.root, config.callgraph);
+            let keys = TargetKeys::new(resolved, config.callgraph, |digest| {
+                lock_cache(cache).remembered_root(digest)
+            });
             Some((keys.result_key(target, &config), keys))
         })
         .collect();
     // The verified changed set must be read before recording refreshes
     // the stored hashes.
-    let changed = match (cache, keyed.iter().flatten().next()) {
-        (Some(cache), Some((_, keys))) => lock_cache(cache).changed_methods(keys),
+    let changed = match (cache, keyed.iter_mut().flatten().next()) {
+        (Some(cache), Some((_, keys))) if delta => {
+            let keys = keys.program_keys();
+            lock_cache(cache).changed_methods(keys)
+        }
         _ => Vec::new(),
     };
     let mut output = String::new();
@@ -511,7 +518,7 @@ fn run_check_source(
     let mut degraded = false;
     let mut warm = 0u64;
     let mut invalidated = 0u64;
-    for (target, keyed) in targets.into_iter().zip(keyed) {
+    for (target, mut keyed) in targets.into_iter().zip(keyed) {
         if let (Some(cache), Some((key, _))) = (cache, keyed.as_ref()) {
             if let Some(hit) = lock_cache(cache).lookup(*key) {
                 reports += hit.reports_n;
@@ -522,7 +529,7 @@ fn run_check_source(
             }
         }
         let result = check(&unit.program, target, config).map_err(|e| e.to_string())?;
-        if let (Some(cache), Some((key, keys))) = (cache, keyed.as_ref()) {
+        if let (Some(cache), Some((key, keys))) = (cache, keyed.as_mut()) {
             // Degraded results depend on budget luck, not content —
             // never persist them. A failed disk commit degrades the
             // store to session-local (the in-memory view is updated
@@ -530,11 +537,11 @@ fn run_check_source(
             if !result.stats.is_degraded() {
                 let entry =
                     crate::cached_target_of(&result, crate::json_fragment_of(target, &result));
+                // Compose the full keys outside the store lock.
+                keys.program_keys();
                 let mut store = lock_cache(cache);
                 let before = store.stats.invalidated;
-                let _ = store
-                    .record(*key, &entry)
-                    .and_then(|()| store.sync_methods(keys));
+                let _ = store.record_target(keys, *key, &entry);
                 invalidated += store.stats.invalidated - before;
             }
         }
@@ -708,6 +715,7 @@ impl Server {
                     &overrides,
                     shard_deadline_ms,
                     handler_cache.as_ref().as_ref(),
+                    false,
                 ) {
                     Ok(o) => render_check_ok(&id, o.exit_code, o.reports, o.degraded, &o.output),
                     Err(message) => render_error(&id, &message),
@@ -732,6 +740,7 @@ impl Server {
                         &overrides,
                         shard_deadline_ms,
                         handler_cache.as_ref().as_ref(),
+                        true,
                     ) {
                         Ok(o) => render_delta_ok(
                             &id,

@@ -18,30 +18,32 @@
 //! iteration are thereby garbage-collected from the report, which is what
 //! keeps truly iteration-local structures classified `ĉ`.
 //!
-//! # Parallel (Jacobi) rounds
+//! # Branches in place
 //!
-//! With [`EffectConfig::jobs`] ≠ 1 the designated-loop fixpoint runs each
-//! abstract iteration as a *round* of independent regions: the loop body
-//! is partitioned (see `partition.rs`) so that no abstract fact can flow
-//! between two regions within one iteration, every region executes
-//! against an immutable snapshot of the post-aging heap, and the
-//! per-region deltas (heap overlay, written locals, effect sets) are
-//! merged back in a fixed region order. Because the regions are truly
-//! independent, each round reproduces the sequential iteration's
-//! post-state *exactly* — same environments, heap, effect sets, iteration
-//! count, and truncation flag — not merely the same fixpoint, which is
-//! what keeps [`EffectSummary`] byte-identical at every job count.
+//! Rule TIf joins the two branch environments pointwise. The join is
+//! idempotent, so a local that neither branch can define joins to its
+//! own value: only the locals some statement of either branch defines
+//! need any work (`ret` only accumulates joins). `if` therefore saves
+//! just those slots, runs the then-branch on the caller's frame in
+//! place, swaps the saved entry values back, runs the else-branch in
+//! place, and joins the saved then-values into the defined slots. Plain
+//! loops use the same selective save per iteration. A branch or loop
+//! body that lexically contains the designated loop keeps the
+//! whole-frame path: aging rewrites every local, so the else-branch
+//! would see aged values of locals no statement defines. Calls need no
+//! save at all:
+//! the callee runs in a frame of its own and only the call's `dst` is
+//! written back. [`EffectSummary::locals_copied`] counts the frame slots
+//! copied, an exact measure of this work.
 
 use crate::domain::{AbsEffect, AbsType, EffectBase, TypeKey, Val};
 use crate::era::Era;
-use crate::partition::{partition, Region};
 use leakchecker_callgraph::CallGraph;
 use leakchecker_ir::ids::{AllocSite, FieldId, LocalId, LoopId, MethodId};
 use leakchecker_ir::stmt::Stmt;
+use leakchecker_ir::visit::walk_stmts;
 use leakchecker_ir::Program;
-use leakchecker_parallel::{effective_jobs, parallel_map};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 /// Analysis configuration.
 #[derive(Copy, Clone, Debug)]
@@ -57,10 +59,8 @@ pub struct EffectConfig {
     /// study's workaround): objects captured by a thread on which
     /// `start()` was invoked escape regardless of the thread's own ERA.
     pub model_threads: bool,
-    /// Worker threads for the designated-loop Jacobi rounds: `1` runs the
-    /// classic sequential walk (the default), `0` uses one worker per
-    /// hardware thread, `n` uses `n` workers. Results are identical at
-    /// every value.
+    /// Accepted and ignored: the effects phase runs on one thread at
+    /// every job count. Kept so callers that set it still compile.
     pub jobs: usize,
 }
 
@@ -99,14 +99,14 @@ pub struct EffectSummary {
     /// the analysis (results may under-approximate).
     pub truncated: bool,
     /// Abstract iterations executed across designated-loop fixpoints.
-    /// Identical at every job count (each parallel round reproduces one
-    /// sequential iteration exactly).
     pub rounds: usize,
-    /// Regions in the largest designated-loop partition actually run on
-    /// the parallel path; `0` when the sequential path ran. Telemetry
-    /// only — depends on the resolved worker count, so it is excluded
-    /// from cross-width equivalence comparisons.
+    /// Always 0: the effects phase has no parallel regions. Kept so
+    /// callers that read it still compile.
     pub regions: usize,
+    /// Frame slots copied to save or rebuild a frame: the selective
+    /// saves of branches and plain loops plus every whole-frame clone,
+    /// aging and join. An exact, deterministic work counter.
+    pub locals_copied: usize,
 }
 
 impl EffectSummary {
@@ -154,9 +154,8 @@ pub fn analyze_from(
         truncated: false,
         final_roots: Vec::new(),
         top_escape: false,
-        in_region: false,
         rounds: 0,
-        region_count: 0,
+        locals_copied: 0,
     };
     let mut env = Env::default();
     let nlocals = program.method(root).locals.len();
@@ -210,10 +209,7 @@ pub fn gen_of(era: Era) -> Gen {
 #[doc(hidden)]
 pub type HeapKey = (TypeKey, Gen, FieldId);
 
-/// The abstract heap as a (possibly layered) view: an optional immutable
-/// snapshot shared by every region of a Jacobi round, overlaid by a local
-/// delta map. On the sequential path `base` is `None` and `local` *is*
-/// the heap, reproducing the original single-map behavior bit for bit.
+/// The abstract heap, with a change log for plain loops.
 ///
 /// While a plain loop is open, every effective change to a cell is
 /// logged with the cell's prior value, so the loop can tell whether an
@@ -221,8 +217,7 @@ pub type HeapKey = (TypeKey, Gen, FieldId);
 /// cloning and comparing the whole heap (see [`HeapView::changed_since`]).
 #[derive(Clone, Debug, Default)]
 struct HeapView {
-    base: Option<Arc<BTreeMap<HeapKey, Val>>>,
-    local: BTreeMap<HeapKey, Val>,
+    cells: BTreeMap<HeapKey, Val>,
     /// Effective changes in order, each with the cell's prior value
     /// (`None`: the cell was absent). Only kept while `open_loops > 0`.
     undo: Vec<(HeapKey, Option<Val>)>,
@@ -239,15 +234,26 @@ struct SuspendedLog {
 }
 
 impl HeapView {
-    /// The cell's effective value; `None` when absent (≠ `⊥`).
-    fn lookup(&self, key: &HeapKey) -> Option<&Val> {
-        self.local
-            .get(key)
-            .or_else(|| self.base.as_ref().and_then(|b| b.get(key)))
+    fn get(&self, key: &HeapKey) -> Val {
+        self.cells.get(key).cloned().unwrap_or(Val::Bottom)
     }
 
-    fn get(&self, key: &HeapKey) -> Val {
-        self.lookup(key).cloned().unwrap_or(Val::Bottom)
+    /// Weak update: joins `val` into the cell. A previously absent key
+    /// is materialized even when the joined value stays `⊥`, because
+    /// convergence checks distinguish absent cells from `⊥` cells.
+    fn store_join(&mut self, key: HeapKey, val: Val, bound: usize) {
+        let prior = self.cells.get(&key).cloned();
+        let new = prior.as_ref().unwrap_or(&Val::Bottom).join(&val, bound);
+        if prior.as_ref() != Some(&new) {
+            self.cells.insert(key, new);
+            self.log(key, prior);
+        }
+    }
+
+    /// Strong update (flow-back reclassification).
+    fn set(&mut self, key: HeapKey, val: Val) {
+        let prior = self.cells.insert(key, val);
+        self.log(key, prior);
     }
 
     fn log(&mut self, key: HeapKey, prior: Option<Val>) {
@@ -256,52 +262,26 @@ impl HeapView {
         }
     }
 
-    /// Weak update: joins `val` into the cell. Mirrors the sequential
-    /// `entry(key).or_default()` discipline exactly — in particular a
-    /// previously absent key is materialized even when the joined value
-    /// stays `⊥`, because convergence checks distinguish absent cells
-    /// from `⊥` cells.
-    fn store_join(&mut self, key: HeapKey, val: Val, bound: usize) {
-        let prior = self.lookup(&key).cloned();
-        let cur = prior.as_ref().unwrap_or(&Val::Bottom);
-        let new = cur.join(&val, bound);
-        if prior.as_ref() != Some(&new) {
-            self.local.insert(key, new);
-            self.log(key, prior);
-        }
-    }
-
-    /// Strong update (flow-back reclassification). Callers only invoke
-    /// this on a present cell whose value actually changes, so the
-    /// overlay entry always differs from the snapshot underneath it.
-    fn set(&mut self, key: HeapKey, val: Val) {
-        let old = self.local.insert(key, val);
-        if self.open_loops > 0 {
-            let prior = old.or_else(|| self.base.as_ref().and_then(|b| b.get(&key)).cloned());
-            self.undo.push((key, prior));
-        }
-    }
-
-    /// Did the effective heap change since the log held `mark` entries?
-    /// A cell changed iff its value now differs from the prior value of
-    /// its first logged change after `mark` — a cell that changed and
+    /// Did the heap change since the log held `mark` entries? A cell
+    /// changed iff its value now differs from the prior value of its
+    /// first logged change after `mark` — a cell that changed and
     /// changed back within the span counts as unchanged, exactly as a
     /// whole-heap comparison would see it.
     fn changed_since(&self, mark: usize) -> bool {
         let mut seen: HashSet<HeapKey> = HashSet::new();
         self.undo[mark..]
             .iter()
-            .any(|(key, prior)| seen.insert(*key) && self.lookup(key) != prior.as_ref())
+            .any(|(key, prior)| seen.insert(*key) && self.cells.get(key) != prior.as_ref())
     }
 
     /// Sets the enclosing plain loops' log aside before a designated
-    /// loop, whose aging and round merges rewrite the heap wholesale
-    /// without per-cell logging. `None` when no plain loop is open.
+    /// loop, whose aging rewrites the heap wholesale without per-cell
+    /// logging. `None` when no plain loop is open.
     fn suspend_log(&mut self) -> Option<SuspendedLog> {
         (self.open_loops > 0).then(|| SuspendedLog {
             undo: std::mem::take(&mut self.undo),
             open_loops: std::mem::take(&mut self.open_loops),
-            before: self.local.clone(),
+            before: self.cells.clone(),
         })
     }
 
@@ -315,50 +295,26 @@ impl HeapView {
         } = suspended;
         self.undo = undo;
         self.open_loops = open_loops;
-        for key in self.local.keys() {
+        for key in self.cells.keys() {
             if !before.contains_key(key) {
                 self.undo.push((*key, None));
             }
         }
         for (key, prior) in before {
-            if self.local.get(&key) != Some(&prior) {
+            if self.cells.get(&key) != Some(&prior) {
                 self.undo.push((key, Some(prior)));
             }
         }
     }
 
-    /// Every key of `field` in the effective heap, in key order (the
-    /// order the sequential single-map walk would enumerate them).
+    /// Every key of `field`, in key order.
     fn field_keys(&self, field: FieldId) -> Vec<HeapKey> {
-        let local = self.local.keys().filter(|(_, _, f)| *f == field).cloned();
-        match &self.base {
-            None => local.collect(),
-            Some(b) => {
-                let mut keys: BTreeSet<HeapKey> =
-                    b.keys().filter(|(_, _, f)| *f == field).cloned().collect();
-                keys.extend(local);
-                keys.into_iter().collect()
-            }
-        }
+        self.cells
+            .keys()
+            .filter(|(_, _, f)| *f == field)
+            .cloned()
+            .collect()
     }
-}
-
-/// Everything one region of a Jacobi round produces, merged back into
-/// the main interpreter in fixed region order. Of the frame, only what
-/// the merge takes: the final values of the region's written locals (in
-/// `Region::writes` order) and its `ret`.
-struct RegionOutcome {
-    overlay: BTreeMap<HeapKey, Val>,
-    writes: Vec<Val>,
-    ret: Val,
-    stores: BTreeSet<AbsEffect>,
-    loads: BTreeSet<AbsEffect>,
-    inside_sites: BTreeSet<AllocSite>,
-    returned_from_library: BTreeSet<TypeKey>,
-    started_threads: BTreeSet<TypeKey>,
-    final_roots: Vec<Env>,
-    truncated: bool,
-    top_escape: bool,
 }
 
 struct AbstractInterp<'a> {
@@ -385,14 +341,10 @@ struct AbstractInterp<'a> {
     /// is conservatively reported `⊤̂` (only reachable when the value
     /// domain collapses, e.g. under the formal bound-1 configuration).
     top_escape: bool,
-    /// `true` while executing one region of a Jacobi round: forces any
-    /// (structurally impossible) nested designated-loop fixpoint onto
-    /// the sequential path.
-    in_region: bool,
     /// Designated-loop abstract iterations executed so far.
     rounds: usize,
-    /// Largest partition actually run on the parallel path.
-    region_count: usize,
+    /// See [`EffectSummary::locals_copied`].
+    locals_copied: usize,
 }
 
 impl AbstractInterp<'_> {
@@ -415,10 +367,8 @@ impl AbstractInterp<'_> {
     }
 
     fn exec_method_body(&mut self, method: MethodId, env: &mut Env) {
-        // Clone the body: the program is immutable, the clone avoids
-        // borrowing `self.program` across the recursive walk.
-        let body = self.program.method(method).body.clone();
-        self.exec_stmts(&body, env);
+        let program = self.program;
+        self.exec_stmts(&program.method(method).body, env);
     }
 
     fn exec_stmts(&mut self, stmts: &[Stmt], env: &mut Env) {
@@ -608,13 +558,16 @@ impl AbstractInterp<'_> {
                 then_branch,
                 else_branch,
                 ..
-            } => {
-                let mut then_env = env.clone();
-                let mut else_env = env.clone();
-                self.exec_stmts(then_branch, &mut then_env);
-                self.exec_stmts(else_branch, &mut else_env);
-                *env = join_env(&then_env, &else_env, self.bound());
-            }
+            } => match self.defined_locals(&[then_branch, else_branch]) {
+                Some(defs) => self.exec_if_in_place(&defs, then_branch, else_branch, env),
+                None => {
+                    let mut then_env = self.copy_frame(env);
+                    let mut else_env = self.copy_frame(env);
+                    self.exec_stmts(then_branch, &mut then_env);
+                    self.exec_stmts(else_branch, &mut else_env);
+                    *env = self.join_frames(&then_env, &else_env);
+                }
+            },
             Stmt::While { id, body, .. } => {
                 if *id == self.designated {
                     self.exec_designated_loop(body, env);
@@ -755,6 +708,69 @@ impl AbstractInterp<'_> {
         }
     }
 
+    /// The locals some statement of `blocks` can define, sorted and
+    /// deduplicated; `None` when a block lexically contains the
+    /// designated loop, whose aging rewrites every local of the frame.
+    /// Calls define at most their `dst`: a callee runs in its own frame.
+    fn defined_locals(&self, blocks: &[&[Stmt]]) -> Option<Vec<LocalId>> {
+        let mut defs = Vec::new();
+        let mut designated = false;
+        for block in blocks {
+            walk_stmts(block, &mut |stmt| match stmt {
+                Stmt::While { id, .. } => designated |= *id == self.designated,
+                _ => defs.extend(stmt.def()),
+            });
+        }
+        if designated {
+            return None;
+        }
+        defs.sort_unstable();
+        defs.dedup();
+        Some(defs)
+    }
+
+    /// Copies the `defs` slots of `env` aside.
+    fn save_slots(&mut self, defs: &[LocalId], env: &Env) -> Vec<Val> {
+        self.locals_copied += defs.len();
+        defs.iter().map(|l| env.locals[l.index()].clone()).collect()
+    }
+
+    fn copy_frame(&mut self, env: &Env) -> Env {
+        self.locals_copied += env.locals.len();
+        env.clone()
+    }
+
+    fn join_frames(&mut self, a: &Env, b: &Env) -> Env {
+        self.locals_copied += a.locals.len();
+        join_env(a, b, self.bound())
+    }
+
+    /// Rule TIf on the caller's frame (see the module docs): exactly
+    /// `join_env(then, else)`, because every slot outside `defs` holds
+    /// the same value after either branch and the join is idempotent.
+    /// `ret` needs no save: it only ever accumulates joins, so running
+    /// the else-branch on the then-branch's `ret` already yields
+    /// `then.ret ⊔ else.ret`.
+    fn exec_if_in_place(
+        &mut self,
+        defs: &[LocalId],
+        then_branch: &[Stmt],
+        else_branch: &[Stmt],
+        env: &mut Env,
+    ) {
+        let mut saved = self.save_slots(defs, env);
+        self.exec_stmts(then_branch, env);
+        for (l, val) in defs.iter().zip(&mut saved) {
+            std::mem::swap(&mut env.locals[l.index()], val);
+        }
+        self.exec_stmts(else_branch, env);
+        let bound = self.bound();
+        for (l, then_val) in defs.iter().zip(saved) {
+            let slot = &mut env.locals[l.index()];
+            *slot = then_val.join(slot, bound);
+        }
+    }
+
     /// A non-designated loop: plain fixed point, no iteration semantics.
     ///
     /// Note the convergence criterion is environment + heap only; the
@@ -766,27 +782,49 @@ impl AbstractInterp<'_> {
     /// loop's aging operator can cycle the same env/heap while the
     /// `inside_loop` flag of freshly recorded effects still changes.
     ///
-    /// Whether the heap changed is read off the heap's change log (see
-    /// [`HeapView::changed_since`]), which costs the cells the iteration
-    /// touched — not a clone and compare of the whole heap, which on the
-    /// sequential path is the whole program's heap, every iteration.
+    /// Each iteration runs on the frame in place and joins the slots the
+    /// body can define into their values from before the iteration: the
+    /// same `join_env(state, iteration)` as a whole-frame copy, since no
+    /// other slot can change. Whether the heap changed is read off the
+    /// heap's change log (see [`HeapView::changed_since`]), which costs
+    /// the cells the iteration touched, not a clone and compare of the
+    /// whole program's heap.
     fn exec_plain_loop(&mut self, body: &[Stmt], env: &mut Env) {
-        let mut state = env.clone();
+        let defs = self.defined_locals(&[body]);
         let mut stable = false;
         self.heap.open_loops += 1;
         for _ in 0..self.config.max_fixpoint_iters {
             let mark = self.heap.undo.len();
-            let mut iter_env = state.clone();
-            self.exec_stmts(body, &mut iter_env);
-            let joined = join_env(&state, &iter_env, self.bound());
+            let env_changed = match &defs {
+                Some(defs) => {
+                    let before = self.save_slots(defs, env);
+                    let before_ret = env.ret.clone();
+                    self.exec_stmts(body, env);
+                    let bound = self.bound();
+                    let mut changed = env.ret != before_ret;
+                    for (l, prior) in defs.iter().zip(before) {
+                        let slot = &mut env.locals[l.index()];
+                        *slot = prior.join(slot, bound);
+                        changed |= *slot != prior;
+                    }
+                    changed
+                }
+                None => {
+                    let mut iter_env = self.copy_frame(env);
+                    self.exec_stmts(body, &mut iter_env);
+                    let joined = self.join_frames(env, &iter_env);
+                    let changed = joined != *env;
+                    *env = joined;
+                    changed
+                }
+            };
             let heap_changed = self.heap.changed_since(mark);
             if self.heap.open_loops == 1 {
                 // Outermost open loop: no enclosing iteration needs the
                 // entries any more.
                 self.heap.undo.clear();
             }
-            stable = joined == state && !heap_changed;
-            state = joined;
+            stable = !env_changed && !heap_changed;
             if stable {
                 break;
             }
@@ -795,62 +833,35 @@ impl AbstractInterp<'_> {
         if !stable {
             self.truncated = true;
         }
-        *env = state;
     }
 
     /// The designated loop: rule TWhile with iteration aging. Each
-    /// abstract iteration runs either sequentially or as one parallel
-    /// Jacobi round; the two produce identical post-states, so iteration
-    /// counts, truncation, and every summary component agree. Each round
-    /// compares the whole heap once: aging rewrites every cell anyway.
+    /// round compares the whole heap once: aging rewrites every cell
+    /// anyway.
     fn exec_designated_loop(&mut self, body: &[Stmt], env: &mut Env) {
         let outer_log = self.heap.suspend_log();
         self.loop_depth += 1;
-        let workers = effective_jobs(self.config.jobs);
-        let regions = if workers > 1 && !self.in_region {
-            partition(
-                self.program,
-                self.callgraph,
-                self.current_method(),
-                &self.call_stack,
-                self.config.max_inline_depth,
-                body,
-            )
-        } else {
-            Vec::new()
-        };
-        // A single region would serialize through parallel_map for
-        // nothing; the sequential walk is the same computation.
-        let parallel = regions.len() >= 2;
-        if parallel {
-            self.region_count = self.region_count.max(regions.len());
-        }
-        let mut state = env.clone();
         let mut stable = false;
         for _ in 0..self.config.max_fixpoint_iters {
-            let heap_before = self.heap.local.clone();
+            let heap_before = self.heap.cells.clone();
             let stores_before = self.stores.len();
             let loads_before = self.loads.len();
             // ⊕: age the environment and the heap at the iteration start.
-            let mut iter_env = age_env(&state);
-            self.age_heap();
+            self.locals_copied += env.locals.len();
+            let mut iter_env = age_env(env);
+            let bound = self.bound();
+            self.heap.cells = age_heap_map(std::mem::take(&mut self.heap.cells), bound);
             self.rounds += 1;
-            if parallel {
-                self.exec_round_parallel(&regions, body, &mut iter_env, workers);
-            } else {
-                self.exec_stmts(body, &mut iter_env);
-            }
-            let joined = join_env(&state, &iter_env, self.bound());
-            if joined == state
-                && self.heap.local == heap_before
+            self.exec_stmts(body, &mut iter_env);
+            let joined = self.join_frames(env, &iter_env);
+            stable = joined == *env
+                && self.heap.cells == heap_before
                 && self.stores.len() == stores_before
-                && self.loads.len() == loads_before
-            {
-                state = joined;
-                stable = true;
+                && self.loads.len() == loads_before;
+            *env = joined;
+            if stable {
                 break;
             }
-            state = joined;
         }
         if !stable {
             self.truncated = true;
@@ -859,130 +870,6 @@ impl AbstractInterp<'_> {
         if let Some(log) = outer_log {
             self.heap.resume_log(log);
         }
-        *env = state;
-    }
-
-    /// One Jacobi round: every region executes against an immutable
-    /// snapshot of the post-aging heap, then the deltas are merged in
-    /// region order. The partition guarantees the regions are
-    /// independent, so the merge order only matters for determinism, not
-    /// for the result: overlapping overlay entries can only come from
-    /// concurrent loads of the same untouched cell, whose idempotent
-    /// flow-back adjustments write identical values.
-    fn exec_round_parallel(
-        &mut self,
-        regions: &[Region],
-        body: &[Stmt],
-        iter_env: &mut Env,
-        workers: usize,
-    ) {
-        debug_assert!(self.heap.base.is_none(), "rounds run on the main heap");
-        let snapshot = Arc::new(std::mem::take(&mut self.heap.local));
-        let program = self.program;
-        let callgraph = self.callgraph;
-        let config = self.config;
-        let designated = self.designated;
-        let loop_depth = self.loop_depth;
-        let call_stack = &self.call_stack;
-        let base_env = &*iter_env;
-        let snap = &snapshot;
-        // Schedule big regions first (work-stealing drains the singleton
-        // tail); results are re-indexed so the merge below still runs in
-        // canonical region order.
-        let mut order: Vec<usize> = (0..regions.len()).collect();
-        order.sort_by_key(|&r| (usize::MAX - regions[r].stmts.len(), r));
-        let outcomes = parallel_map(workers, order.clone(), |r: usize| {
-            let mut sub = AbstractInterp {
-                program,
-                callgraph,
-                config,
-                designated,
-                heap: HeapView {
-                    base: Some(Arc::clone(snap)),
-                    ..HeapView::default()
-                },
-                stores: BTreeSet::new(),
-                loads: BTreeSet::new(),
-                inside_sites: BTreeSet::new(),
-                loop_depth,
-                call_stack: call_stack.clone(),
-                returned_from_library: BTreeSet::new(),
-                started_threads: BTreeSet::new(),
-                truncated: false,
-                final_roots: Vec::new(),
-                top_escape: false,
-                in_region: true,
-                rounds: 0,
-                region_count: 0,
-            };
-            let mut env = base_env.clone();
-            for &i in &regions[r].stmts {
-                sub.exec_stmt(&body[i], &mut env);
-            }
-            RegionOutcome {
-                overlay: sub.heap.local,
-                writes: regions[r]
-                    .writes
-                    .iter()
-                    .map(|l| std::mem::take(&mut env.locals[l.index()]))
-                    .collect(),
-                ret: env.ret,
-                stores: sub.stores,
-                loads: sub.loads,
-                inside_sites: sub.inside_sites,
-                returned_from_library: sub.returned_from_library,
-                started_threads: sub.started_threads,
-                final_roots: sub.final_roots,
-                truncated: sub.truncated,
-                top_escape: sub.top_escape,
-            }
-        });
-        let mut local =
-            Arc::try_unwrap(snapshot).expect("every region dropped its snapshot handle");
-        let bound = self.bound();
-        let mut slots: Vec<Option<RegionOutcome>> = Vec::with_capacity(regions.len());
-        slots.resize_with(regions.len(), || None);
-        for (r, out) in order.into_iter().zip(outcomes) {
-            slots[r] = Some(out);
-        }
-        let merged = slots.into_iter().map(|s| s.expect("every region ran"));
-        for (region, out) in regions.iter().zip(merged) {
-            // Heap delta: plain insert — entries are either for cells no
-            // other region touches, or identical flow-back rewrites.
-            for (k, v) in out.overlay {
-                local.insert(k, v);
-            }
-            // Environment delta: the partition guarantees each local is
-            // written by at most one region (and read by no other), so
-            // taking the writer's final value is exact, not a join.
-            for (&l, val) in region.writes.iter().zip(out.writes) {
-                iter_env.locals[l.index()] = val;
-            }
-            // `ret` is accumulate-only (never read during execution), so
-            // folding the per-region joins reproduces the sequential
-            // value by idempotence.
-            iter_env.ret = iter_env.ret.join(&out.ret, bound);
-            self.stores.extend(out.stores);
-            self.loads.extend(out.loads);
-            self.inside_sites.extend(out.inside_sites);
-            self.returned_from_library.extend(out.returned_from_library);
-            self.started_threads.extend(out.started_threads);
-            // finish()'s reachability join is order-independent, so the
-            // region-order concatenation is equivalent to the sequential
-            // interleaving.
-            self.final_roots.extend(out.final_roots);
-            self.truncated |= out.truncated;
-            self.top_escape |= out.top_escape;
-        }
-        self.heap.local = local;
-    }
-
-    /// Ages every heap binding: fresh cells become old cells, and every
-    /// stored value moves `ĉ`/`f̂` → `⊤̂` until a load proves flow-back.
-    fn age_heap(&mut self) {
-        debug_assert!(self.heap.base.is_none(), "aging runs on the main heap");
-        let bound = self.bound();
-        self.heap.local = age_heap_map(std::mem::take(&mut self.heap.local), bound);
     }
 
     /// Computes the final report: reachable-occurrence ERA join.
@@ -1014,10 +901,8 @@ impl AbstractInterp<'_> {
             AbsType::new(TypeKey::Globals, Era::Outside),
         );
         // Outside objects are live by assumption; their heap cells are
-        // reachable. (The main interpreter's heap never has a snapshot
-        // layer by the time the report is computed.)
-        debug_assert!(self.heap.base.is_none());
-        for ((key, gen, _), _) in self.heap.local.iter() {
+        // reachable.
+        for ((key, gen, _), _) in self.heap.cells.iter() {
             if *gen == Gen::Outside {
                 add(&mut queue, &mut reachable, AbsType::new(*key, Era::Outside));
             }
@@ -1035,7 +920,7 @@ impl AbstractInterp<'_> {
             // Follow heap edges: an object of generation g reaches the
             // cells addressed by that generation.
             let gen = gen_of(era);
-            for ((bkey, bgen, _f), val) in self.heap.local.iter() {
+            for ((bkey, bgen, _f), val) in self.heap.cells.iter() {
                 if (*bkey, *bgen) == (key, gen) {
                     let cell_id = (*bkey, *bgen, *_f);
                     if visited_cells.insert(cell_id) {
@@ -1066,14 +951,15 @@ impl AbstractInterp<'_> {
             started_threads: self.started_threads,
             truncated: self.truncated,
             rounds: self.rounds,
-            regions: self.region_count,
+            regions: 0,
+            locals_copied: self.locals_copied,
         }
     }
 }
 
 /// Pointwise join of two frames. Public (hidden) for the lattice-law
-/// property suite; the Jacobi merge relies on this being a semilattice
-/// join (commutative, associative, idempotent, monotone).
+/// property suite; the in-place branch join relies on this being a
+/// semilattice join (commutative, associative, idempotent, monotone).
 #[doc(hidden)]
 pub fn join_env(a: &Env, b: &Env, bound: usize) -> Env {
     debug_assert_eq!(a.locals.len(), b.locals.len());

@@ -63,8 +63,8 @@ impl Era {
     /// strictly iteration-local `ĉ` — is untouched. The operator is
     /// monotone on the inside chain and idempotent, and it never moves an era out of the
     /// escape chain (the result of a persisting inside era is still
-    /// `⊒ f̂`), which is what lets concurrent Jacobi regions replay the
-    /// same strong heap update without losing escape information.
+    /// `⊒ f̂`), so replaying the same strong heap update never loses
+    /// escape information.
     pub fn flow_back(self) -> Era {
         if self.is_inside() && self.persists() {
             Era::Future

@@ -51,14 +51,13 @@
 pub mod analysis;
 pub mod domain;
 pub mod era;
-mod partition;
 
 pub use analysis::{analyze, analyze_from, EffectConfig, EffectSummary};
 pub use domain::{AbsEffect, AbsType, EffectBase, TypeKey, Val};
 pub use era::Era;
 
 // Hidden re-exports for the lattice-law property suite (the algebraic
-// preconditions the parallel Jacobi merge relies on). Not a stable API.
+// preconditions the in-place branch join relies on). Not a stable API.
 #[doc(hidden)]
 pub use analysis::{age_env, age_heap_map, gen_of, join_env, Env, Gen, HeapKey};
 
@@ -564,5 +563,201 @@ mod tests {
             "two plain iterations of three rounds"
         );
         assert_eq!(case.era_of("new Item"), Era::Top);
+    }
+
+    /// The in-place branch join must see writes nested in an inner `if`
+    /// of either branch, and must restore the entry value of a local the
+    /// then-branch overwrote before the else-branch runs.
+    #[test]
+    fn in_place_join_sees_nested_if_writes() {
+        let case = Case::new(
+            "class Item { }
+             class Keep { }
+             class Other { }
+             class Holder { Item item; Keep keep; Other other; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 @check while (nondet()) {
+                   Item a = new Item();
+                   Item b = null;
+                   Keep k = new Keep();
+                   Other o = new Other();
+                   if (nondet()) {
+                     if (nondet()) { b = a; }
+                     if (nondet()) { k = null; } else { k = null; }
+                     o = null;
+                   } else {
+                     h.other = o;
+                   }
+                   h.item = b;
+                   h.keep = k;
+                 }
+               }
+             }",
+        );
+        assert_eq!(case.era_of("new Item"), Era::Top, "nested write joined");
+        assert_eq!(case.era_of("new Keep"), Era::Top, "nested kill joined");
+        assert_eq!(
+            case.era_of("new Other"),
+            Era::Top,
+            "else saw the entry value"
+        );
+    }
+
+    /// A plain loop, inside a branch or not, defines what its body
+    /// defines at any depth, and joins that with its entry state.
+    #[test]
+    fn in_place_join_sees_plain_loop_writes() {
+        let case = Case::new(
+            "class Item { }
+             class Keep { }
+             class Holder { Item item; Keep keep; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 @check while (nondet()) {
+                   Item a = new Item();
+                   Item b = null;
+                   Keep k = new Keep();
+                   if (nondet()) {
+                     while (nondet()) { b = a; }
+                   }
+                   while (nondet()) {
+                     if (nondet()) { k = null; } else { k = null; }
+                   }
+                   h.item = b;
+                   h.keep = k;
+                 }
+               }
+             }",
+        );
+        assert_eq!(case.era_of("new Item"), Era::Top);
+        assert_eq!(case.era_of("new Keep"), Era::Top, "entry state joined");
+        assert!(!case.summary.truncated);
+    }
+
+    /// A call in a branch writes only its `dst` in the caller's frame.
+    #[test]
+    fn in_place_join_sees_call_dst() {
+        let case = Case::new(
+            "class Item { }
+             class Factory {
+               static Item make() { Item it = new Item(); return it; }
+             }
+             class Holder { Item item; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 @check while (nondet()) {
+                   Item b = null;
+                   if (nondet()) { b = Factory.make(); }
+                   h.item = b;
+                 }
+               }
+             }",
+        );
+        assert_eq!(case.era_of("new Item"), Era::Top);
+    }
+
+    /// A value returned from only one branch, either one, reaches the
+    /// caller.
+    #[test]
+    fn in_place_join_keeps_a_return_from_one_branch() {
+        let case = Case::new(
+            "class A { }
+             class B { }
+             class Holder { A a; B b; }
+             class Main {
+               static A first(A x) {
+                 if (nondet()) { return x; }
+                 A none = null;
+                 return none;
+               }
+               static B second(B y) {
+                 if (nondet()) { B none = null; } else { return y; }
+                 B other = null;
+                 return other;
+               }
+               static void main() {
+                 Holder h = new Holder();
+                 @check while (nondet()) {
+                   A a = new A();
+                   B b = new B();
+                   A ra = Main.first(a);
+                   B rb = Main.second(b);
+                   h.a = ra;
+                   h.b = rb;
+                 }
+               }
+             }",
+        );
+        assert_eq!(case.era_of("new A"), Era::Top, "then-branch return");
+        assert_eq!(case.era_of("new B"), Era::Top, "else-branch return");
+    }
+
+    /// An `if` without `else` joins the then-state with the entry state.
+    #[test]
+    fn in_place_join_handles_an_else_less_if() {
+        let case = Case::new(
+            "class Item { }
+             class Keep { }
+             class Holder { Item item; Keep keep; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 @check while (nondet()) {
+                   Item a = new Item();
+                   Item b = null;
+                   Keep k = new Keep();
+                   if (nondet()) { b = a; k = null; }
+                   h.item = b;
+                   h.keep = k;
+                 }
+               }
+             }",
+        );
+        assert_eq!(case.era_of("new Item"), Era::Top, "then-value joined");
+        assert_eq!(case.era_of("new Keep"), Era::Top, "entry value joined");
+    }
+
+    /// A branch holding the designated loop takes the whole-frame path:
+    /// the loop ages `y`, which no statement of either branch defines,
+    /// and the else-branch must still store `y`'s entry value (era ĉ),
+    /// never the aged one.
+    #[test]
+    fn designated_loop_inside_a_branch_keeps_the_else_frame() {
+        let case = Case::new(
+            "class Item { }
+             class Holder { Item item; }
+             class Main {
+               static void main() {
+                 Holder h = new Holder();
+                 Item last = null;
+                 while (nondet()) {
+                   Item y = last;
+                   if (nondet()) {
+                     @check while (nondet()) {
+                       Item it = new Item();
+                       last = it;
+                     }
+                   } else {
+                     h.item = y;
+                   }
+                 }
+               }
+             }",
+        );
+        assert_eq!(case.era_of("new Holder"), Era::Outside);
+        assert_eq!(case.era_of("new Item"), Era::Top);
+        let item = case.site("new Item");
+        let stored: Vec<Era> = case
+            .summary
+            .stores
+            .iter()
+            .filter(|e| e.value.key == crate::TypeKey::Site(item))
+            .map(|e| e.value.era)
+            .collect();
+        assert_eq!(stored, vec![Era::Current], "the else-branch store");
     }
 }

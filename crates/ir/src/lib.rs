@@ -11,9 +11,6 @@
 //! (Section 3, Figures 2 and 3): the type-and-effect system iterates over the
 //! body of an explicitly designated loop, and the concrete semantics indexes
 //! run-time objects by the iteration of the loop in which they were created.
-//! A conventional basic-block CFG together with dominator-based natural-loop
-//! discovery is still available via [`cfg`] and [`loops`] for clients that
-//! need them.
 //!
 //! # Architecture
 //!
@@ -23,8 +20,7 @@
 //! * [`types`] — the [`Type`] enum (`int`, `boolean`, references, arrays).
 //! * [`builder`] — ergonomic construction of programs from Rust code.
 //! * [`visit`] — recursive statement walkers.
-//! * [`cfg`] / [`loops`] — flattened control-flow graph, dominators and
-//!   natural loops.
+//! * [`loops`] — loop discovery and structural ranking statistics.
 //! * [`pretty`] — a human-readable printer for whole programs.
 //! * [`validate`] — structural well-formedness checks.
 //!
@@ -55,7 +51,6 @@
 //! ```
 
 pub mod builder;
-pub mod cfg;
 pub mod ids;
 pub mod loops;
 pub mod pretty;

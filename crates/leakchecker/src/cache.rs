@@ -39,6 +39,17 @@
 //! detail, and would render byte-identical output — which is what the
 //! warm/cold CI gates re-verify empirically.
 //!
+//! # The warm path: a digest of the key inputs
+//!
+//! The composed keys are a pure function of the shape fingerprint,
+//! every method's semantic hash (in `MethodId` order), the root and the
+//! callgraph algorithm. [`TargetKeys`] hashes the program, digests those
+//! inputs, and asks the store for the root key remembered under that
+//! digest: on a match it skips the callgraph and the SCC pass, which
+//! dominate a full [`compute_keys`]. A recorded result appends one `D`
+//! record (digest → root key, 16 bytes of data, nothing per method)
+//! after its method records, so a restarted process keys warm too.
+//!
 //! # Record format and crash safety
 //!
 //! The store is a single append-only file (`summaries.lkc`), reusing
@@ -49,7 +60,8 @@
 //! <kind> <epoch> <fnv16hex> <len> <key> <payload>\n
 //! ```
 //!
-//! with key and payload escaped (`\\`, `\n`, space), `len` the
+//! (`<kind>` is `R` result, `M` method or `D` digest) with key and
+//! payload escaped (`\\`, `\n`, space), `len` the
 //! unescaped payload length, and the checksum spanning kind, epoch, key
 //! and payload. The trailing newline certifies the commit; appends are
 //! fsync'd. On load, a record failing magic/epoch/field/length/checksum
@@ -71,15 +83,17 @@ use std::path::{Path, PathBuf};
 
 use crate::detect::DetectorConfig;
 use crate::persist::write_atomic;
-use crate::target::CheckTarget;
-use leakchecker_callgraph::CallGraph;
+use crate::target::{CheckTarget, ResolvedTarget};
+use leakchecker_callgraph::{Algorithm, CallGraph};
 use leakchecker_ir::{Cond, MethodId, Operand, Program, SiteLabel, Stmt, Type};
 
 /// Store file magic.
 pub const CACHE_MAGIC: &str = "LKCACHE";
 /// Format epoch: bump on any incompatible change to the record format
-/// *or* the keying scheme — stale files then load as all-miss.
-pub const CACHE_EPOCH: u32 = 1;
+/// *or* the keying scheme — stale files then load as all-miss. Epoch 2
+/// added the digest record and `effects_locals_copied` in the stored
+/// `--json` fragment.
+pub const CACHE_EPOCH: u32 = 2;
 /// Store file name inside the cache directory.
 pub const CACHE_FILE: &str = "summaries.lkc";
 
@@ -184,19 +198,23 @@ pub struct ProgramKeys {
 impl ProgramKeys {
     /// The result-record key for a target under a configuration.
     pub fn result_key(&self, target: CheckTarget, config: &DetectorConfig) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.root_key);
-        match target {
-            CheckTarget::Loop(l) => {
-                h.tag(1).u32(l.0);
-            }
-            CheckTarget::Region(m) => {
-                h.tag(2).u32(m.0);
-            }
-        }
-        h.u64(config_fingerprint(config));
-        h.finish()
+        result_key(self.root_key, target, config)
     }
+}
+
+fn result_key(root_key: u64, target: CheckTarget, config: &DetectorConfig) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(root_key);
+    match target {
+        CheckTarget::Loop(l) => {
+            h.tag(1).u32(l.0);
+        }
+        CheckTarget::Region(m) => {
+            h.tag(2).u32(m.0);
+        }
+    }
+    h.u64(config_fingerprint(config));
+    h.finish()
 }
 
 fn hash_type(h: &mut Fnv, ty: &Type) {
@@ -520,6 +538,44 @@ pub fn cacheable_config(config: &DetectorConfig) -> bool {
         && config.governor.deadline_ms.is_none()
 }
 
+/// The content hashes of one program: the shape fingerprint and both
+/// hashes of every method, in `MethodId` order.
+#[derive(Debug)]
+struct ProgramHashes {
+    shape: u64,
+    exact: Vec<u64>,
+    sem: Vec<u64>,
+}
+
+impl ProgramHashes {
+    fn of(program: &Program) -> ProgramHashes {
+        let (exact, sem) = (0..program.methods().len())
+            .map(|i| hash_method(program, MethodId(i as u32)))
+            .unzip();
+        ProgramHashes {
+            shape: shape_fingerprint(program),
+            exact,
+            sem,
+        }
+    }
+
+    /// Digest of everything the composed keys are a function of: the
+    /// shape, every method's semantic hash, the root and the callgraph
+    /// algorithm (exact hashes do not reach any composed key).
+    fn digest(&self, root: MethodId, algorithm: Algorithm) -> u64 {
+        let mut h = Fnv::new();
+        h.u64(self.shape).u64(self.sem.len() as u64);
+        for &s in &self.sem {
+            h.u64(s);
+        }
+        h.u32(root.0).tag(match algorithm {
+            Algorithm::Cha => 1,
+            Algorithm::Rta => 2,
+        });
+        h.finish()
+    }
+}
+
 /// Computes all content keys for `program` rooted at `root`.
 ///
 /// Builds a call graph with `algorithm` (the same construction `check`
@@ -528,10 +584,15 @@ pub fn cacheable_config(config: &DetectorConfig) -> bool {
 /// contexts, the PAG and the effect interpreter all operate within the
 /// reachable closure, and dispatch-relevant signature changes are
 /// pinned by the shape fingerprint.
-pub fn compute_keys(
+pub fn compute_keys(program: &Program, root: MethodId, algorithm: Algorithm) -> ProgramKeys {
+    compose_keys(program, &ProgramHashes::of(program), root, algorithm)
+}
+
+fn compose_keys(
     program: &Program,
+    hashes: &ProgramHashes,
     root: MethodId,
-    algorithm: leakchecker_callgraph::Algorithm,
+    algorithm: Algorithm,
 ) -> ProgramKeys {
     let callgraph = CallGraph::build_from(program, &[root], algorithm);
     let mut reachable = vec![false; program.methods().len()];
@@ -539,13 +600,8 @@ pub fn compute_keys(
         reachable[m.0 as usize] = true;
     }
     let n = program.methods().len();
-    let mut exact = vec![0u64; n];
-    let mut sem = vec![0u64; n];
-    for i in 0..n {
-        let (e, s) = hash_method(program, MethodId(i as u32));
-        exact[i] = e;
-        sem[i] = s;
-    }
+    let ProgramHashes { shape, exact, sem } = hashes;
+    let shape = *shape;
 
     // Callee adjacency over the reachable closure.
     let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -600,7 +656,6 @@ pub fn compute_keys(
         }
     }
 
-    let shape = shape_fingerprint(program);
     let mut methods = BTreeMap::new();
     for i in 0..n {
         let comp = if scc.of[i].is_some() {
@@ -624,6 +679,72 @@ pub fn compute_keys(
         shape,
         methods,
         root_key: hr.finish(),
+    }
+}
+
+/// One resolved target's cache keys, on the digest path: the content
+/// hashes are always computed, but the callgraph, the SCC pass and the
+/// name-keyed [`ProgramKeys`] only when the store has not remembered a
+/// root key for the program's digest, or when a record or a changed set
+/// needs them.
+#[derive(Debug)]
+pub struct TargetKeys<'p> {
+    resolved: ResolvedTarget<'p>,
+    algorithm: Algorithm,
+    hashes: ProgramHashes,
+    digest: u64,
+    root_key: u64,
+    full: Option<ProgramKeys>,
+}
+
+impl<'p> TargetKeys<'p> {
+    /// Keys `resolved`. `remembered` looks a digest up in the store
+    /// ([`SummaryCache::remembered_root`]); on a miss the full keys are
+    /// composed. Either way the root key equals [`compute_keys`]'s.
+    pub fn new(
+        resolved: ResolvedTarget<'p>,
+        algorithm: Algorithm,
+        remembered: impl FnOnce(u64) -> Option<u64>,
+    ) -> TargetKeys<'p> {
+        let hashes = ProgramHashes::of(&resolved.program);
+        let digest = hashes.digest(resolved.root, algorithm);
+        let mut keys = TargetKeys {
+            resolved,
+            algorithm,
+            hashes,
+            digest,
+            root_key: 0,
+            full: None,
+        };
+        keys.root_key = match remembered(digest) {
+            Some(root_key) => root_key,
+            None => keys.program_keys().root_key,
+        };
+        keys
+    }
+
+    /// The root key: [`ProgramKeys::root_key`], remembered or composed.
+    pub fn root_key(&self) -> u64 {
+        self.root_key
+    }
+
+    /// The result-record key for `target` under `config`.
+    pub fn result_key(&self, target: CheckTarget, config: &DetectorConfig) -> u64 {
+        result_key(self.root_key, target, config)
+    }
+
+    /// The full per-method keys, composed on first use.
+    pub fn program_keys(&mut self) -> &ProgramKeys {
+        let TargetKeys {
+            resolved,
+            algorithm,
+            hashes,
+            full,
+            ..
+        } = self;
+        full.get_or_insert_with(|| {
+            compose_keys(&resolved.program, hashes, resolved.root, *algorithm)
+        })
     }
 }
 
@@ -896,6 +1017,7 @@ fn parse_record(line: &str) -> Option<(char, String, String)> {
     let kind = match kind_str {
         "R" => 'R',
         "M" => 'M',
+        "D" => 'D',
         _ => return None,
     };
     let epoch: u32 = parts.next()?.parse().ok()?;
@@ -956,6 +1078,9 @@ pub struct SummaryCache {
     results: BTreeMap<u64, String>,
     /// Per-method summaries by qualified name.
     methods: BTreeMap<String, StoredMethod>,
+    /// Root keys by program digest (see [`TargetKeys`]): 16 bytes each,
+    /// nothing per method.
+    roots: BTreeMap<u64, u64>,
     /// Run telemetry.
     pub stats: CacheStats,
     /// `false` until the on-disk file has a valid current-epoch header;
@@ -980,6 +1105,7 @@ impl SummaryCache {
             path,
             results: BTreeMap::new(),
             methods: BTreeMap::new(),
+            roots: BTreeMap::new(),
             stats: CacheStats::default(),
             header_valid: false,
         };
@@ -1075,7 +1201,16 @@ impl SummaryCache {
                     self.stats.corrupt_recovered += 1;
                 }
             }
-            _ => unreachable!("parse_record admits only R and M"),
+            'D' => match (
+                u64::from_str_radix(key, 16),
+                u64::from_str_radix(payload, 16),
+            ) {
+                (Ok(digest), Ok(root_key)) => {
+                    self.roots.insert(digest, root_key);
+                }
+                _ => self.stats.corrupt_recovered += 1,
+            },
+            _ => unreachable!("parse_record admits only R, M and D"),
         }
     }
 
@@ -1092,6 +1227,13 @@ impl SummaryCache {
         }
         for (key, payload) in &self.results {
             out.push_str(&render_record('R', &format!("{key:016x}"), payload));
+        }
+        for (digest, root_key) in &self.roots {
+            out.push_str(&render_record(
+                'D',
+                &format!("{digest:016x}"),
+                &format!("{root_key:016x}"),
+            ));
         }
         write_atomic(&self.path, out.as_bytes())?;
         self.header_valid = true;
@@ -1160,6 +1302,37 @@ impl SummaryCache {
         let payload = target.encode();
         self.results.insert(result_key, payload.clone());
         self.append('R', &format!("{result_key:016x}"), &payload)
+    }
+
+    /// The root key remembered for a program digest, if any.
+    pub fn remembered_root(&self, digest: u64) -> Option<u64> {
+        self.roots.get(&digest).copied()
+    }
+
+    /// Commits a cold result and everything a later warm key needs: the
+    /// result record, the refreshed method records (see
+    /// [`SummaryCache::sync_methods`]), then — if new — the digest
+    /// record that lets [`TargetKeys`] skip the callgraph next time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures, like [`SummaryCache::record`].
+    pub fn record_target(
+        &mut self,
+        keys: &mut TargetKeys<'_>,
+        result_key: u64,
+        target: &CachedTarget,
+    ) -> std::io::Result<()> {
+        self.record(result_key, target)?;
+        self.sync_methods(keys.program_keys())?;
+        if self.roots.insert(keys.digest, keys.root_key) == Some(keys.root_key) {
+            return Ok(());
+        }
+        self.append(
+            'D',
+            &format!("{:016x}", keys.digest),
+            &format!("{:016x}", keys.root_key),
+        )
     }
 
     /// Qualified names of stored methods whose exact hash drifted from
@@ -1370,6 +1543,44 @@ mod tests {
         assert_eq!(cache.changed_methods(&keys), vec!["Depot.save".to_string()]);
         cache.sync_methods(&keys).unwrap();
         assert_eq!(cache.stats.invalidated, 2);
+    }
+
+    /// The digest record is appended after the method records; damage
+    /// to it costs the digest path, never the key: the full path then
+    /// recomputes the same root key.
+    #[test]
+    fn damaged_digest_record_is_a_miss() {
+        let unit = leakchecker_frontend::compile(
+            "class Main { static void main() { @check while (nondet()) { } } }",
+        )
+        .unwrap();
+        let target = CheckTarget::Loop(unit.checked_loops[0]);
+        let algorithm = DetectorConfig::default().callgraph;
+        let keys_with = |store: &SummaryCache| {
+            let resolved = crate::target::resolve(&unit.program, target).unwrap();
+            TargetKeys::new(resolved, algorithm, |d| store.remembered_root(d))
+        };
+        let dir = temp_store("digest");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        let mut keys = keys_with(&cache);
+        cache.record_target(&mut keys, 1, &sample_target()).unwrap();
+        assert_eq!(cache.remembered_root(keys.digest), Some(keys.root_key()));
+        let path = cache.file_path().to_path_buf();
+        drop(cache);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let victim = text.lines().last().unwrap().to_string();
+        assert!(victim.starts_with("D "), "digest record comes last");
+        let mut hacked = victim.clone().into_bytes();
+        let last = hacked.len() - 1;
+        hacked[last] ^= 0x01;
+        let hacked = String::from_utf8(hacked).unwrap();
+        std::fs::write(&path, text.replacen(&victim, &hacked, 1)).unwrap();
+
+        let mut reopened = SummaryCache::open(&dir).unwrap();
+        assert_eq!(reopened.stats.corrupt_recovered, 1);
+        assert_eq!(reopened.remembered_root(keys.digest), None);
+        assert_eq!(keys_with(&reopened).root_key(), keys.root_key());
+        assert!(reopened.lookup(1).is_some(), "the result record survives");
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod target;
 pub mod witness;
 
 pub use cache::{
-    cacheable_config, compute_keys, CacheStats, CachedTarget, ProgramKeys, SummaryCache,
+    cacheable_config, compute_keys, CacheStats, CachedTarget, ProgramKeys, SummaryCache, TargetKeys,
 };
 pub use contexts::{ContextConfig, ContextTable};
 pub use detect::{check, AnalysisResult, DetectorConfig, PhaseTimes, RunStats};

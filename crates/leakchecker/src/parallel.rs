@@ -1,9 +1,7 @@
 //! Deterministic parallel building blocks, re-exported for the detector.
 //!
 //! The work-stealing scheduler itself lives in the dependency-free
-//! `leakchecker-parallel` crate so the layers below this one (notably
-//! `leakchecker-effects`, whose Jacobi rounds fan regions out through
-//! the same `parallel_map`) can share it without a dependency cycle.
+//! `leakchecker-parallel` crate.
 //! The poison-resistant lock helpers stay re-exported from
 //! `leakchecker-pointsto`, which owns the shared memo they guard.
 

@@ -8,6 +8,8 @@
 //! body constructs a receiver and calls the region method inside a
 //! `while (*)` loop.
 
+use std::borrow::Cow;
+
 use leakchecker_ir::builder::ProgramBuilder;
 use leakchecker_ir::ids::{LoopId, MethodId};
 use leakchecker_ir::types::Type;
@@ -25,9 +27,10 @@ pub enum CheckTarget {
 /// A resolved target: the (possibly augmented) program, the loop to
 /// analyze, and the method from which abstract execution starts.
 #[derive(Clone, Debug)]
-pub struct ResolvedTarget {
-    /// The program (augmented with a driver for regions).
-    pub program: Program,
+pub struct ResolvedTarget<'p> {
+    /// The program: borrowed for loops, augmented with a driver (and so
+    /// owned) for regions.
+    pub program: Cow<'p, Program>,
     /// The designated loop.
     pub designated: LoopId,
     /// The root method for the analysis (the program entry for loops, the
@@ -63,12 +66,13 @@ impl std::fmt::Display for TargetError {
 
 impl std::error::Error for TargetError {}
 
-/// Resolves a target over `program` (cloned; the input is not modified).
+/// Resolves a target over `program`, which is not modified: a loop
+/// target borrows it, a region target gets an augmented copy.
 ///
 /// # Errors
 ///
 /// See [`TargetError`].
-pub fn resolve(program: &Program, target: CheckTarget) -> Result<ResolvedTarget, TargetError> {
+pub fn resolve(program: &Program, target: CheckTarget) -> Result<ResolvedTarget<'_>, TargetError> {
     match target {
         CheckTarget::Loop(designated) => {
             if designated.index() >= program.loops().len() {
@@ -76,7 +80,7 @@ pub fn resolve(program: &Program, target: CheckTarget) -> Result<ResolvedTarget,
             }
             let root = program.entry().ok_or(TargetError::NoEntry)?;
             Ok(ResolvedTarget {
-                program: program.clone(),
+                program: Cow::Borrowed(program),
                 designated,
                 root,
             })
@@ -86,7 +90,10 @@ pub fn resolve(program: &Program, target: CheckTarget) -> Result<ResolvedTarget,
 }
 
 /// Builds the artificial driver loop around a region method.
-fn synthesize_driver(program: &Program, region: MethodId) -> Result<ResolvedTarget, TargetError> {
+fn synthesize_driver(
+    program: &Program,
+    region: MethodId,
+) -> Result<ResolvedTarget<'static>, TargetError> {
     let mut pb = ProgramBuilder::resume(program.clone());
     let m = pb.program().method(region).clone();
     let owner = m.owner;
@@ -145,7 +152,7 @@ fn synthesize_driver(program: &Program, region: MethodId) -> Result<ResolvedTarg
     let mut program = pb.finish();
     mark_synthetic(&mut program, designated);
     Ok(ResolvedTarget {
-        program,
+        program: Cow::Owned(program),
         designated,
         root,
     })

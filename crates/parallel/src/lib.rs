@@ -3,8 +3,7 @@
 //!
 //! The detector's fan-out points (context enumeration roots, per-site
 //! flow matching, refinement batches, report building) are all
-//! embarrassingly parallel maps over an indexed work list, and so are
-//! the effects fixpoint's Jacobi regions. This crate
+//! embarrassingly parallel maps over an indexed work list. This crate
 //! provides exactly that shape — no external crates — with three
 //! properties the detector relies on:
 //!

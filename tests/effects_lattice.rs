@@ -1,15 +1,16 @@
 //! Lattice-law property battery for the effects domain.
 //!
-//! The parallel Jacobi rounds of the effects fixpoint (see
-//! `crates/effects/src/analysis.rs`) merge per-region deltas with
-//! `join_env`, replay flow-back heap rewrites concurrently, and age the
-//! snapshot once per round. Each of those steps is only sound because
+//! The effects fixpoint (see `crates/effects/src/analysis.rs`) runs
+//! branches in place and joins only the locals a branch can define,
+//! which equals the whole-frame `join_env` only because the join is
+//! idempotent; it also ages the heap once per round and replays
+//! flow-back heap rewrites. Each of those steps is only sound because
 //! the underlying operators satisfy algebraic laws: the joins form a
 //! semilattice, aging is monotone, and the flow-back refinement is an
 //! idempotent rewrite that never leaves the escape chain. This suite
 //! checks every law on SplitMix64-driven random values so a future
-//! domain change that silently breaks a precondition of the parallel
-//! merge fails here, with the seed printed in the assertion.
+//! domain change that silently breaks one of these preconditions fails
+//! here, with the seed printed in the assertion.
 
 use leakchecker_benchsuite::SplitMix64;
 use leakchecker_effects::{age_env, age_heap_map, gen_of, join_env, Env, Era, Gen, HeapKey};
@@ -180,10 +181,8 @@ fn heap_aging_is_monotone_and_commutes_with_join() {
                 "age_heap_map not monotone, case {case}: {a:?} ⊑ {b:?}"
             );
         }
-        // Aging distributes over the pointwise join: merging two region
-        // heaps and then aging equals aging each and merging. This is
-        // what lets the round loop age once, up front, rather than
-        // per-region.
+        // Aging distributes over the pointwise join: joining two heaps
+        // and then aging equals aging each and joining.
         assert_eq!(
             age_heap_map(heap_join(&a, &b), BOUND),
             heap_join(
@@ -209,8 +208,8 @@ fn flow_back_is_idempotent_inside_monotone_and_stays_in_the_escape_chain() {
         );
         // The refinement proves flow-back; it must never forget escape
         // or invent one: `persists` and `is_inside` are both preserved,
-        // so a concurrent region replaying the rewrite on an
-        // already-rewritten cell changes nothing.
+        // so replaying the rewrite on an already-rewritten cell changes
+        // nothing.
         assert_eq!(a.flow_back().persists(), a.persists(), "at {a}");
         assert_eq!(a.flow_back().is_inside(), a.is_inside(), "at {a}");
         for b in ERAS {

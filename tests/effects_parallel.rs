@@ -1,14 +1,14 @@
-//! Determinism battery for the parallel (Jacobi) effects fixpoint.
+//! Width-independence battery for the effects fixpoint.
 //!
-//! The claim under test is strong: the parallel rounds reproduce the
-//! sequential abstract interpretation *exactly* — the same
-//! `EffectSummary` field for field (eras, effect sets, truncation, even
-//! the iteration count), not merely the same reports downstream. The
-//! battery compares `analyze` directly at jobs ∈ {1, 2, 8} across the
-//! committed corpus exemplars, several large generated subjects, and a
-//! 200-seed fuzz-grammar sweep, then checks end to end through `check`
-//! that witness and fault-injected runs partition like plain ones and
-//! still match the sequential run.
+//! The effects phase runs on one thread and ignores
+//! `EffectConfig::jobs`; the claim under test is that every width yields
+//! the same `EffectSummary` field for field (eras, effect sets,
+//! truncation, the iteration count and the copy counter), not merely
+//! the same reports downstream. The battery compares `analyze` directly
+//! at jobs ∈ {1, 2, 8} across the committed corpus exemplars, several
+//! large generated subjects, and a 200-seed fuzz-grammar sweep, then
+//! checks end to end through `check` that witness and fault-injected
+//! runs at jobs=8 match the jobs=1 run.
 //!
 //! `analyze` is exercised directly (not through the fuzz oracle or the
 //! detector) so the battery compares the summary itself, not only the
@@ -21,9 +21,8 @@ use leakchecker_callgraph::{Algorithm, CallGraph};
 use leakchecker_effects::{analyze, EffectConfig, EffectSummary};
 use leakchecker_fuzz::parse_entry;
 
-/// Everything observable about a summary except `regions`, which is
-/// jobs-dependent telemetry by design. `eras` is a `HashMap`, so it is
-/// rendered in sorted order.
+/// Everything observable about a summary. `eras` is a `HashMap`, so it
+/// is rendered in sorted order.
 fn fingerprint(summary: &EffectSummary) -> String {
     let EffectSummary {
         eras,
@@ -34,14 +33,16 @@ fn fingerprint(summary: &EffectSummary) -> String {
         started_threads,
         truncated,
         rounds,
-        regions: _,
+        regions,
+        locals_copied,
     } = summary;
     let mut sorted_eras: Vec<_> = eras.iter().collect();
     sorted_eras.sort();
     format!(
         "eras={sorted_eras:?}\nstores={stores:?}\nloads={loads:?}\n\
          inside={inside_sites:?}\nlib={returned_from_library:?}\n\
-         threads={started_threads:?}\ntruncated={truncated}\nrounds={rounds}"
+         threads={started_threads:?}\ntruncated={truncated}\nrounds={rounds}\n\
+         regions={regions}\nlocals_copied={locals_copied}"
     )
 }
 
@@ -64,28 +65,19 @@ fn analyze_at(source: &str, jobs: usize) -> EffectSummary {
     )
 }
 
-/// Asserts jobs ∈ {2, 8} reproduce the sequential summary exactly.
-/// Returns the widest summary so callers can inspect its telemetry.
+/// Asserts jobs ∈ {2, 8} reproduce the jobs=1 summary exactly and
+/// returns that summary.
 fn assert_equivalent(label: &str, source: &str) -> EffectSummary {
     let sequential = analyze_at(source, 1);
-    assert_eq!(
-        sequential.regions, 0,
-        "{label}: the sequential path must not partition"
-    );
     let expected = fingerprint(&sequential);
-    let mut widest = sequential;
     for jobs in [2, 8] {
-        let parallel = analyze_at(source, jobs);
         assert_eq!(
             expected,
-            fingerprint(&parallel),
-            "{label}: jobs={jobs} diverged from sequential"
+            fingerprint(&analyze_at(source, jobs)),
+            "{label}: jobs={jobs} diverged from jobs=1"
         );
-        if jobs == 8 {
-            widest = parallel;
-        }
     }
-    widest
+    sequential
 }
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -109,53 +101,32 @@ fn corpus_exemplars_are_width_independent() {
 }
 
 #[test]
-fn large_subjects_are_width_independent_and_actually_partition() {
+fn large_subjects_are_width_independent() {
     for seed in [0x1A26E, 0xB0B0, 0x5EED5] {
         let generated = generate_large(LargeConfig {
             target_statements: 9_000,
             seed,
             ..LargeConfig::default()
         });
-        let widest =
+        let summary =
             assert_equivalent(&format!("generate_large seed {seed:#x}"), &generated.source);
-        // The ≥2× acceptance criterion is impossible if the partitioner
-        // degenerates to one region, so lock the width here: the
-        // generated event loop must split into several independent
-        // handler/bucket regions.
-        assert!(
-            widest.regions >= 2,
-            "generate_large seed {seed:#x}: expected a real partition, got {} regions",
-            widest.regions
-        );
-        assert!(widest.rounds > 0, "no abstract iterations ran");
+        assert!(summary.rounds > 0, "no abstract iterations ran");
     }
 }
 
 #[test]
 fn fuzz_grammar_sweep_is_width_independent() {
-    let mut partitioned = 0usize;
     for seed in 0..200u64 {
         let generated = generate_fuzz(seed);
-        let widest = assert_equivalent(&format!("generate_fuzz seed {seed}"), &generated.source);
-        if widest.regions >= 2 {
-            partitioned += 1;
-        }
+        assert_equivalent(&format!("generate_fuzz seed {seed}"), &generated.source);
     }
-    // Not every tiny fuzz program has independent handlers, but a sweep
-    // where none partitions means the parallel path never ran and the
-    // battery proved nothing.
-    assert!(
-        partitioned > 0,
-        "no fuzz subject exercised the parallel path"
-    );
 }
 
-/// Witness recording and fault injection do not choose the effects
-/// algorithm: at jobs=8 such runs partition (`effects_regions >= 2`)
-/// like a plain run, and their reports, rounds and governance counters
-/// match the jobs=1 run byte for byte.
+/// Witness recording and fault injection leave the effects phase alone:
+/// at jobs=8 such runs match the jobs=1 run byte for byte, in reports,
+/// rounds, copy counter and governance counters.
 #[test]
-fn witness_and_fault_runs_partition_and_match_sequential() {
+fn witness_and_fault_runs_match_sequential() {
     let generated = generate_large(LargeConfig {
         target_statements: 4_000,
         ..LargeConfig::default()
@@ -193,12 +164,6 @@ fn witness_and_fault_runs_partition_and_match_sequential() {
     std::panic::set_hook(hook);
     for ((witnesses, inject), (seq, par)) in cases.iter().zip(runs) {
         let label = format!("witnesses={witnesses} inject={inject:?}");
-        assert_eq!(seq.stats.effects_regions, 0, "{label}");
-        assert!(
-            par.stats.effects_regions >= 2,
-            "{label}: jobs=8 must take the parallel effects path, got {} regions",
-            par.stats.effects_regions
-        );
         assert_eq!(
             render_all(&seq.program, &seq.reports),
             render_all(&par.program, &par.reports),
@@ -206,6 +171,10 @@ fn witness_and_fault_runs_partition_and_match_sequential() {
         );
         assert_eq!(
             seq.stats.effects_rounds, par.stats.effects_rounds,
+            "{label}"
+        );
+        assert_eq!(
+            seq.stats.effects_locals_copied, par.stats.effects_locals_copied,
             "{label}"
         );
         assert_eq!(seq.stats.effects_truncated, par.stats.effects_truncated);

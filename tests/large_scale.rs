@@ -5,6 +5,8 @@
 
 use leakchecker::{check, render_all, CheckTarget, DetectorConfig};
 use leakchecker_benchsuite::{generate_large, score, HandlerKind, LargeConfig};
+use leakchecker_callgraph::{Algorithm, CallGraph};
+use leakchecker_effects::{analyze, EffectConfig};
 
 #[test]
 fn large_generation_is_seed_deterministic() {
@@ -101,4 +103,25 @@ fn reports_are_byte_identical_across_widths_at_100k_statements() {
     assert_eq!(seq.stats.candidate_sites, par.stats.candidate_sites);
     assert_eq!(seq.stats.batched_queries, par.stats.batched_queries);
     assert_eq!(seq.stats.degraded_reports, par.stats.degraded_reports);
+}
+
+/// The effects phase's frame-copy work is an exact, deterministic count:
+/// pinned here on a fixed small subject so a change that brings back
+/// whole-frame copies at branches or loops shows up as a different
+/// number, on any machine.
+#[test]
+fn effects_frame_copies_are_pinned_on_a_small_subject() {
+    let generated = generate_large(LargeConfig {
+        target_statements: 4_000,
+        ..LargeConfig::default()
+    });
+    let unit = leakchecker_frontend::compile(&generated.source).expect("subject compiles");
+    let cg = CallGraph::build(&unit.program, Algorithm::Rta);
+    let summary = analyze(
+        &unit.program,
+        &cg,
+        unit.checked_loops[0],
+        EffectConfig::default(),
+    );
+    assert_eq!(summary.locals_copied, 4_758);
 }

@@ -27,17 +27,16 @@ fn fingerprint(result: &AnalysisResult) -> String {
         batched_queries,
         query_batches,
         effects_rounds,
+        effects_locals_copied,
         effects_truncated,
         cache_hits,
         cache_misses,
         cache_invalidated,
         cache_corrupt_recovered,
-        // Excluded on purpose: wall-clock and thread count vary per run,
-        // and the effects region width depends on jobs and machine width.
+        // Excluded on purpose: wall-clock and thread count vary per run.
         time_secs: _,
         phases: _,
         jobs: _,
-        effects_regions: _,
     } = result.stats;
     format!(
         "methods={methods} statements={statements} loop_objects={loop_objects} \
@@ -47,7 +46,7 @@ fn fingerprint(result: &AnalysisResult) -> String {
          quarantined={quarantined} deadline_hits={deadline_hits} \
          degraded={degraded_reports} batched={batched_queries} \
          batches={query_batches} effects_rounds={effects_rounds} \
-         effects_truncated={effects_truncated} cache_hits={cache_hits} \
+         effects_locals_copied={effects_locals_copied} effects_truncated={effects_truncated} cache_hits={cache_hits} \
          cache_misses={cache_misses} cache_invalidated={cache_invalidated} \
          cache_corrupt_recovered={cache_corrupt_recovered}\n{}",
         render_all(&result.program, &result.reports)
