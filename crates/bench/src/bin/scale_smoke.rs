@@ -17,7 +17,7 @@
 //!   --stmts 100000 --ceiling 60 --jobs-list 1,2
 //! ```
 
-use leakchecker_bench::{render_scaling, scaling_sweep};
+use leakchecker_bench::{render_scaling, scaling_sweep, SWEEP_SAMPLES};
 
 /// Sequential effects-phase ceiling per 100k requested statements: 0.4 s
 /// on the 100k subject, against ~0.09 s for in-place branches and
@@ -95,7 +95,7 @@ fn main() {
         "scale smoke: ~{} statements, jobs {:?}, machine width {width}",
         args.stmts, args.jobs_list
     );
-    let points = scaling_sweep(args.stmts, &args.jobs_list, 2);
+    let points = scaling_sweep(args.stmts, &args.jobs_list, SWEEP_SAMPLES);
     print!("{}", render_scaling(&points));
 
     let seq = &points[0];

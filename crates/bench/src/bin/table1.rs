@@ -10,7 +10,7 @@
 use leakchecker::render_all as render_reports;
 use leakchecker_bench::{
     render_json, render_scaling, render_table, run_subject, scaling_sweep, size_sweep,
-    subject_or_exit, summarize_trace, table1_rows_jobs, ScalingPoint, SweepPoint,
+    subject_or_exit, summarize_trace, table1_rows_jobs, ScalingPoint, SweepPoint, SWEEP_SAMPLES,
 };
 
 struct Args {
@@ -147,12 +147,13 @@ fn main() {
     let scaling: Vec<ScalingPoint> = if args.sweep {
         println!(
             "parallel-scaling sweep: one ~{}-statement generated subject, jobs {:?} \
-             (best of 2 after warmup; machine width {}):",
+             (median of {} after warmup; machine width {}):",
             args.scale,
             args.jobs_list,
+            SWEEP_SAMPLES,
             std::thread::available_parallelism().map_or(1, |n| n.get())
         );
-        let scaling = scaling_sweep(args.scale, &args.jobs_list, 2);
+        let scaling = scaling_sweep(args.scale, &args.jobs_list, SWEEP_SAMPLES);
         print!("{}", render_scaling(&scaling));
         println!();
         scaling

@@ -257,9 +257,12 @@ pub struct ScalingPoint {
     pub jobs: usize,
     /// Resolved width (after mapping `0` to the machine width).
     pub eff_jobs: usize,
-    /// Best-of-N end-to-end wall-clock, in seconds. Every phase below
+    /// Median-of-N end-to-end wall-clock, in seconds. Every phase below
     /// is from that same run.
     pub secs: f64,
+    /// Median-of-N compile time of the subject (lex, parse, lower), in
+    /// seconds; the same for every width.
+    pub compile_secs: f64,
     /// Flows-closure phase seconds (SCC waves — the widest phase).
     pub flows_secs: f64,
     /// Effects-fixpoint phase seconds.
@@ -278,11 +281,17 @@ pub struct ScalingPoint {
     pub locals_copied: usize,
 }
 
+/// Timed runs per width (and compiles per subject) of the scaling
+/// sweeps `table1 --sweep` and `scale_smoke` record: the median of five
+/// is stable to a few percent where best-of-2 was not.
+pub const SWEEP_SAMPLES: usize = 5;
+
 /// Runs the parallel-scaling sweep the issue's Table-1 extension asks
 /// for: one seed-deterministic large subject (about `target_statements`
 /// statements), analyzed once per width in `jobs_list`, each width timed
-/// as best-of-`samples` after one warmup, with the phase split of the
-/// best run. The rendered reports of every width are asserted
+/// as the median of `samples` runs after one warmup, with the phase split
+/// of the median run. The subject's compile time is the median of
+/// `samples` compiles. The rendered reports of every width are asserted
 /// byte-identical against the first width before any timing is trusted. The speedup baseline is the `jobs = 1` point if
 /// the list has one, else the first point.
 ///
@@ -300,7 +309,10 @@ pub fn scaling_sweep(
         target_statements,
         ..LargeConfig::default()
     });
-    let unit = leakchecker_frontend::compile(&generated.source).expect("large subject compiles");
+    let (compile, unit) = stopwatch::measure_median(0, samples, || {
+        leakchecker_frontend::compile(&generated.source).expect("large subject compiles")
+    });
+    let compile_secs = compile.as_secs_f64();
     let target = CheckTarget::Loop(unit.checked_loops[0]);
     let run = |jobs: usize| {
         let config = DetectorConfig {
@@ -311,7 +323,7 @@ pub fn scaling_sweep(
     };
 
     // First pass: one verification run per width (doubles as warmup),
-    // byte-comparing the rendered reports, then best-of-N timed runs.
+    // byte-comparing the rendered reports, then median-of-N timed runs.
     let mut timed = Vec::with_capacity(jobs_list.len());
     let mut expected: Option<String> = None;
     for &jobs in jobs_list {
@@ -321,8 +333,8 @@ pub fn scaling_sweep(
             None => expected = Some(rendered),
             Some(e) => assert_eq!(*e, rendered, "jobs={jobs} changed the rendered reports"),
         }
-        let (best, result) = stopwatch::measure_best(0, samples, || run(jobs));
-        timed.push((jobs, result, best.as_secs_f64()));
+        let (median, result) = stopwatch::measure_median(0, samples, || run(jobs));
+        timed.push((jobs, result, median.as_secs_f64()));
     }
 
     // Second pass: speedups relative to the jobs = 1 point (or the first
@@ -350,6 +362,7 @@ pub fn scaling_sweep(
                 jobs,
                 eff_jobs,
                 secs,
+                compile_secs,
                 flows_secs: p.flows_secs,
                 effects_secs: p.effects_secs,
                 refine_secs: p.refine_secs,
@@ -372,9 +385,10 @@ pub fn render_scaling(points: &[ScalingPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>5} {:>8} {:>9} {:>9} {:>10} {:>9} {:>9} {:>8} {:>5}",
+        "{:>5} {:>8} {:>10} {:>9} {:>9} {:>10} {:>9} {:>9} {:>8} {:>5}",
         "jobs",
         "stmts",
+        "compile(s)",
         "total(s)",
         "flows(s)",
         "effects(s)",
@@ -386,9 +400,10 @@ pub fn render_scaling(points: &[ScalingPoint]) -> String {
     for p in points {
         let _ = writeln!(
             out,
-            "{:>5} {:>8} {:>9.3} {:>9.3} {:>10.3} {:>9.3} {:>9.3} {:>7.2}x {:>4.0}%",
+            "{:>5} {:>8} {:>10.3} {:>9.3} {:>9.3} {:>10.3} {:>9.3} {:>9.3} {:>7.2}x {:>4.0}%",
             p.jobs,
             p.statements,
+            p.compile_secs,
             p.secs,
             p.flows_secs,
             p.effects_secs,
@@ -730,7 +745,8 @@ pub fn render_json(rows: &[TableRow], sweep: &[SweepPoint], scaling: &[ScalingPo
         let _ = write!(
             out,
             "    {{\"target_statements\": {}, \"statements\": {}, \"methods\": {}, \
-             \"jobs\": {}, \"eff_jobs\": {}, \"secs\": {:.6}, \"flows_secs\": {:.6}, \
+             \"jobs\": {}, \"eff_jobs\": {}, \"compile_secs\": {:.6}, \"secs\": {:.6}, \
+             \"flows_secs\": {:.6}, \
              \"effects_secs\": {:.6}, \"refine_secs\": {:.6}, \"other_secs\": {:.6}, \
              \"speedup\": {:.3}, \"efficiency\": {:.3}, \"reports\": {}, \
              \"locals_copied\": {}}}",
@@ -739,6 +755,7 @@ pub fn render_json(rows: &[TableRow], sweep: &[SweepPoint], scaling: &[ScalingPo
             p.methods,
             p.jobs,
             p.eff_jobs,
+            p.compile_secs,
             p.secs,
             p.flows_secs,
             p.effects_secs,
@@ -1090,6 +1107,8 @@ mod tests {
             );
             assert!(p.statements >= 4_500, "realized size near target");
             assert!(p.secs > 0.0);
+            assert!(p.compile_secs > 0.0);
+            assert_eq!(p.compile_secs, points[0].compile_secs, "one subject");
             assert!(p.flows_secs >= 0.0 && p.refine_secs >= 0.0 && p.other_secs >= 0.0);
             assert!(p.effects_secs >= 0.0);
             // The phases come from the run whose total is reported.

@@ -43,26 +43,31 @@ impl Sample {
 
 /// Runs `f` untimed `warmups` times (to settle allocator state, caches
 /// and branch predictors), then `samples` timed times, and returns the
-/// fastest duration together with that run's result, so figures read
-/// off the result (phase splits) describe the run whose time is
-/// reported. Best-of-N is the standard noise filter for wall-clock
-/// scaling measurements: interference from the rest of the machine only
-/// ever slows a run down, so the minimum is the closest observable to
-/// the true cost. `samples` is clamped to at least 1.
-pub fn measure_best<R>(warmups: usize, samples: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
+/// median duration together with that run's result, so figures read off
+/// the result (phase splits) describe the run whose time is reported.
+/// With an even count the upper median is taken, so the time is always
+/// one real run's. A single run of a sub-second workload on a shared
+/// machine is noise in both directions (a lucky minimum of two runs read
+/// identical work as 0.88x to 1.18x), so the median of several runs is
+/// the figure to compare. `samples` is clamped to at least 1.
+pub fn measure_median<R>(
+    warmups: usize,
+    samples: usize,
+    mut f: impl FnMut() -> R,
+) -> (Duration, R) {
     for _ in 0..warmups {
         black_box(f());
     }
-    let mut best: Option<(Duration, R)> = None;
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        let result = black_box(f());
-        let elapsed = start.elapsed();
-        if best.as_ref().is_none_or(|(b, _)| elapsed < *b) {
-            best = Some((elapsed, result));
-        }
-    }
-    best.expect("at least one sample ran")
+    let mut runs: Vec<(Duration, R)> = (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            let result = black_box(f());
+            (start.elapsed(), result)
+        })
+        .collect();
+    runs.sort_by_key(|(elapsed, _)| *elapsed);
+    let middle = runs.len() / 2;
+    runs.swap_remove(middle)
 }
 
 /// Runs `f` once as warmup and `samples` timed times, printing one
@@ -109,18 +114,22 @@ mod tests {
     }
 
     #[test]
-    fn measure_best_runs_warmups_and_returns_a_sampled_time() {
+    fn measure_median_runs_warmups_and_returns_the_median_run() {
         let mut n = 0u64;
-        let (best, result) = measure_best(3, 4, || {
+        // Run k sleeps 5 * (k % 5) ms: samples 4..=8 take 20, 0, 5, 10
+        // and 15 ms, so the median run is the one that slept 10 ms,
+        // sample 7.
+        let (median, result) = measure_median(3, 5, || {
             n += 1;
+            std::thread::sleep(Duration::from_millis(5 * (n % 5)));
             std::hint::black_box(n)
         });
-        assert_eq!(n, 7, "3 warmups + 4 samples");
-        assert!(best < Duration::MAX);
-        assert!((4..=7).contains(&result), "the result of a timed sample");
+        assert_eq!(n, 8, "3 warmups + 5 samples");
+        assert_eq!(result, 7, "the result of the median run");
+        assert!(median >= Duration::from_millis(10));
         // Zero samples still measures once (the clamp).
         let mut m = 0u64;
-        let _ = measure_best(0, 0, || {
+        let _ = measure_median(0, 0, || {
             m += 1;
             std::hint::black_box(m)
         });

@@ -1042,9 +1042,18 @@ fn render_warm_target(out: &mut String, target: CheckTarget, hit: &CachedTarget)
 }
 
 fn compile_file(file: &str) -> Result<CompiledUnit, LeakcError> {
+    compile_file_timed(file).map(|(unit, _)| unit)
+}
+
+/// [`compile_file`], also returning the compile time in seconds: lex,
+/// parse and lower, without the file read.
+fn compile_file_timed(file: &str) -> Result<(CompiledUnit, f64), LeakcError> {
     let source = std::fs::read_to_string(file)
         .map_err(|e| LeakcError::Input(format!("cannot read {file}: {e}")))?;
-    leakchecker_frontend::compile(&source).map_err(|e| LeakcError::Input(format!("{file}: {e}")))
+    let start = std::time::Instant::now();
+    let unit = leakchecker_frontend::compile(&source)
+        .map_err(|e| LeakcError::Input(format!("{file}: {e}")))?;
+    Ok((unit, start.elapsed().as_secs_f64()))
 }
 
 /// Executes a command, returning the text to print and the exit code
@@ -1098,7 +1107,7 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
             trace,
             cache,
         } => {
-            let unit = compile_file(&file)?;
+            let (unit, compile_secs) = compile_file_timed(&file)?;
             let targets: Vec<CheckTarget> = if let Some(idx) = loop_index {
                 vec![CheckTarget::Loop(LoopId(idx as u32))]
             } else if auto {
@@ -1193,7 +1202,8 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
                 let _ = writeln!(
                     out,
                     "  phases: callgraph {:.3}s, effects {:.3}s, flows {:.3}s, \
-                     contexts {:.3}s, refine {:.3}s, matching {:.3}s  \
+                     contexts {:.3}s, refine {:.3}s, matching {:.3}s, \
+                     compile {:.3}s  \
                      ({} flow edges, {} candidates, {} refuted, {} jobs; \
                      effects: {} rounds, {} locals copied)",
                     p.callgraph_secs,
@@ -1202,6 +1212,7 @@ pub fn execute(command: Command) -> Result<CliOutput, LeakcError> {
                     p.contexts_secs,
                     p.refine_secs,
                     p.matching_secs,
+                    compile_secs,
                     result.stats.flow_edges,
                     result.stats.candidate_sites,
                     result.stats.refuted_candidates,
@@ -1589,6 +1600,7 @@ mod tests {
         let text = text.text;
         assert!(text.contains("phases: callgraph"), "{text}");
         assert!(text.contains("refine"), "{text}");
+        assert!(text.contains(", compile "), "{text}");
         assert!(text.contains("governance:"), "{text}");
         assert!(text.contains("2 jobs"), "{text}");
         assert!(text.contains("rounds"), "{text}");

@@ -1751,6 +1751,50 @@ class Main {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A leaky loop whose body nests `depth` `if` blocks around its
+    /// allocation.
+    fn nested_check(depth: usize) -> String {
+        format!(
+            "class Item {{ }} class Holder {{ Item item; }}
+             class Main {{ static void main() {{ Holder h = new Holder();
+               @check while (nondet()) {{ {}Item it = new Item(); h.item = it;{} }} }} }}",
+            "if (nondet()) { ".repeat(depth),
+            " }".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn hostile_nesting_gets_one_error_and_the_shard_keeps_serving() {
+        let server = Server::start(&ServeOptions::default()).unwrap();
+        let (mut reader, mut writer) = client(server.local_addr());
+        let frame = |id: u32, source: &str| {
+            format!(
+                r#"{{"kind": "check", "id": {id}, "source": "{}"}}"#,
+                crate::protocol::json_escape(source)
+            )
+        };
+        let deep = roundtrip(&mut reader, &mut writer, &frame(1, &nested_check(30_000)));
+        assert!(deep.contains("\"status\": \"error\""), "{deep}");
+        assert!(deep.contains("nests deeper than"), "{deep}");
+        // The deepest program the budget admits: main's body, the loop
+        // body, each `if` block, the store's expression and its member
+        // access add one level each. A worker thread compiles and checks
+        // it.
+        let admitted = leakchecker_frontend::parser::MAX_NESTING as usize - 4;
+        let ok = roundtrip(&mut reader, &mut writer, &frame(2, &nested_check(admitted)));
+        assert!(ok.contains("\"status\": \"ok\""), "{ok}");
+        assert!(ok.contains("\"reports\": 1"), "{ok}");
+        let over = roundtrip(
+            &mut reader,
+            &mut writer,
+            &frame(3, &nested_check(admitted + 1)),
+        );
+        assert!(over.contains("nests deeper than"), "{over}");
+        let health = roundtrip(&mut reader, &mut writer, r#"{"kind": "health"}"#);
+        assert!(health.contains("\"state\": \"running\""), "{health}");
+        assert!(server.drain().drained_cleanly);
+    }
+
     #[test]
     fn over_cap_line_is_refused_once_while_other_connections_are_served() {
         let server = Server::start(&ServeOptions::default()).unwrap();

@@ -54,6 +54,62 @@ impl fmt::Display for Span {
     }
 }
 
+/// A half-open byte range of the source text: what tokens and syntax
+/// nodes carry instead of line/column positions, which are computed only
+/// when an error is built (see [`Span::of`]).
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
+pub struct TextRange {
+    /// Byte offset of the first byte.
+    pub start: u32,
+    /// Byte offset one past the last byte.
+    pub end: u32,
+}
+
+impl TextRange {
+    /// Creates a range; offsets must lie on character boundaries.
+    pub fn new(start: u32, end: u32) -> Self {
+        TextRange { start, end }
+    }
+}
+
+/// Line-start table of a source text, built on demand to turn byte
+/// offsets into 1-based line and column positions. Columns count
+/// characters, not bytes.
+struct LineIndex<'s> {
+    source: &'s str,
+    /// Byte offset of the first byte of each line.
+    starts: Vec<u32>,
+}
+
+impl<'s> LineIndex<'s> {
+    fn new(source: &'s str) -> Self {
+        let mut starts = vec![0];
+        starts.extend(
+            source
+                .bytes()
+                .enumerate()
+                .filter(|&(_, b)| b == b'\n')
+                .map(|(i, _)| i as u32 + 1),
+        );
+        LineIndex { source, starts }
+    }
+
+    fn pos(&self, offset: u32) -> Pos {
+        let line = self.starts.partition_point(|&s| s <= offset) - 1;
+        let start = self.starts[line] as usize;
+        let col = self.source[start..offset as usize].chars().count();
+        Pos::new(line as u32 + 1, col as u32 + 1)
+    }
+}
+
+impl Span {
+    /// The line/column span of a byte range of `source`.
+    pub fn of(source: &str, range: TextRange) -> Span {
+        let lines = LineIndex::new(source);
+        Span::new(lines.pos(range.start), lines.pos(range.end))
+    }
+}
+
 /// The phase in which a frontend error was detected.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Phase {
@@ -95,6 +151,11 @@ impl CompileError {
             message: message.into(),
         }
     }
+
+    /// Creates an error at a byte range of `source`.
+    pub fn at(phase: Phase, source: &str, range: TextRange, message: impl Into<String>) -> Self {
+        CompileError::new(phase, Span::of(source, range), message)
+    }
 }
 
 impl fmt::Display for CompileError {
@@ -116,6 +177,17 @@ mod tests {
     fn display_formats() {
         let e = CompileError::new(Phase::Parse, Span::at(Pos::new(3, 7)), "expected `;`");
         assert_eq!(e.to_string(), "syntax error at 3:7: expected `;`");
+    }
+
+    #[test]
+    fn byte_ranges_become_character_columns() {
+        let source = "ab\n  é x\r\ny";
+        let at = |offset: u32| Span::of(source, TextRange::new(offset, offset)).start;
+        assert_eq!(at(0), Pos::new(1, 1));
+        assert_eq!(at(3), Pos::new(2, 1));
+        // `é` is two bytes but one column.
+        assert_eq!(at(8), Pos::new(2, 5));
+        assert_eq!(at(source.len() as u32), Pos::new(3, 2));
     }
 
     #[test]

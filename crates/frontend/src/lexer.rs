@@ -1,345 +1,530 @@
 //! Tokenizer for the Java-like surface language.
+//!
+//! The lexer scans bytes into compact [`Copy`] tokens: a kind plus a byte
+//! range of the source. Identifier, number and string text stays in the
+//! source; the parser slices it out when it needs it. Line and column
+//! positions are computed only when an error is built.
 
-use crate::error::{CompileError, Phase, Pos, Result, Span};
-use std::fmt;
+use crate::error::{CompileError, Phase, Result, TextRange};
 
-/// The kind of a token.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A reserved word.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Keyword {
+    /// `class`
+    Class,
+    /// `extends`
+    Extends,
+    /// `library`
+    Library,
+    /// `static`
+    Static,
+    /// `if`
+    If,
+    /// `else`
+    Else,
+    /// `while`
+    While,
+    /// `return`
+    Return,
+    /// `break`
+    Break,
+    /// `continue`
+    Continue,
+    /// `new`
+    New,
+    /// `null`
+    Null,
+    /// `this`
+    This,
+    /// `true`
+    True,
+    /// `false`
+    False,
+    /// `int`
+    Int,
+    /// `boolean`
+    Boolean,
+    /// `void`
+    Void,
+    /// `nondet`
+    Nondet,
+    /// `super`
+    Super,
+}
+
+impl Keyword {
+    fn of(text: &[u8]) -> Option<Keyword> {
+        Some(match text {
+            b"class" => Keyword::Class,
+            b"extends" => Keyword::Extends,
+            b"library" => Keyword::Library,
+            b"static" => Keyword::Static,
+            b"if" => Keyword::If,
+            b"else" => Keyword::Else,
+            b"while" => Keyword::While,
+            b"return" => Keyword::Return,
+            b"break" => Keyword::Break,
+            b"continue" => Keyword::Continue,
+            b"new" => Keyword::New,
+            b"null" => Keyword::Null,
+            b"this" => Keyword::This,
+            b"true" => Keyword::True,
+            b"false" => Keyword::False,
+            b"int" => Keyword::Int,
+            b"boolean" => Keyword::Boolean,
+            b"void" => Keyword::Void,
+            b"nondet" => Keyword::Nondet,
+            b"super" => Keyword::Super,
+            _ => return None,
+        })
+    }
+}
+
+/// A punctuation or operator token.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Punct {
+    /// `{`
+    LBrace,
+    /// `}`
+    RBrace,
+    /// `(`
+    LParen,
+    /// `)`
+    RParen,
+    /// `[`
+    LBracket,
+    /// `]`
+    RBracket,
+    /// `;`
+    Semi,
+    /// `,`
+    Comma,
+    /// `.`
+    Dot,
+    /// `=`
+    Assign,
+    /// `<`
+    Lt,
+    /// `>`
+    Gt,
+    /// `+`
+    Plus,
+    /// `-`
+    Minus,
+    /// `*`
+    Star,
+    /// `/`
+    Slash,
+    /// `%`
+    Percent,
+    /// `!`
+    Bang,
+    /// `==`
+    EqEq,
+    /// `!=`
+    NotEq,
+    /// `<=`
+    Le,
+    /// `>=`
+    Ge,
+    /// `&&`
+    AndAnd,
+    /// `||`
+    OrOr,
+}
+
+impl Punct {
+    /// The token's text.
+    pub fn text(self) -> &'static str {
+        match self {
+            Punct::LBrace => "{",
+            Punct::RBrace => "}",
+            Punct::LParen => "(",
+            Punct::RParen => ")",
+            Punct::LBracket => "[",
+            Punct::RBracket => "]",
+            Punct::Semi => ";",
+            Punct::Comma => ",",
+            Punct::Dot => ".",
+            Punct::Assign => "=",
+            Punct::Lt => "<",
+            Punct::Gt => ">",
+            Punct::Plus => "+",
+            Punct::Minus => "-",
+            Punct::Star => "*",
+            Punct::Slash => "/",
+            Punct::Percent => "%",
+            Punct::Bang => "!",
+            Punct::EqEq => "==",
+            Punct::NotEq => "!=",
+            Punct::Le => "<=",
+            Punct::Ge => ">=",
+            Punct::AndAnd => "&&",
+            Punct::OrOr => "||",
+        }
+    }
+
+    /// Maximal munch: the two-byte operators first, then one byte.
+    fn of(first: u8, second: Option<u8>) -> Option<(Punct, u32)> {
+        let two = match (first, second) {
+            (b'=', Some(b'=')) => Some(Punct::EqEq),
+            (b'!', Some(b'=')) => Some(Punct::NotEq),
+            (b'<', Some(b'=')) => Some(Punct::Le),
+            (b'>', Some(b'=')) => Some(Punct::Ge),
+            (b'&', Some(b'&')) => Some(Punct::AndAnd),
+            (b'|', Some(b'|')) => Some(Punct::OrOr),
+            _ => None,
+        };
+        if let Some(p) = two {
+            return Some((p, 2));
+        }
+        let one = match first {
+            b'{' => Punct::LBrace,
+            b'}' => Punct::RBrace,
+            b'(' => Punct::LParen,
+            b')' => Punct::RParen,
+            b'[' => Punct::LBracket,
+            b']' => Punct::RBracket,
+            b';' => Punct::Semi,
+            b',' => Punct::Comma,
+            b'.' => Punct::Dot,
+            b'=' => Punct::Assign,
+            b'<' => Punct::Lt,
+            b'>' => Punct::Gt,
+            b'+' => Punct::Plus,
+            b'-' => Punct::Minus,
+            b'*' => Punct::Star,
+            b'/' => Punct::Slash,
+            b'%' => Punct::Percent,
+            b'!' => Punct::Bang,
+            _ => return None,
+        };
+        Some((one, 1))
+    }
+}
+
+/// The kind of a token. Its text is the token's byte range of the source.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TokenKind {
-    /// Identifier or keyword text.
-    Ident(String),
-    /// Integer literal.
-    Int(i64),
-    /// String literal (only used inside `@fp("...")`).
-    Str(String),
-    /// `@`-annotation name (without the `@`), e.g. `leak`, `check`.
-    At(String),
+    /// An identifier that is not a keyword.
+    Ident,
+    /// A reserved word.
+    Keyword(Keyword),
+    /// Integer literal (checked to fit an `i64`).
+    Int,
+    /// String literal, quotes included (only used inside `@fp("...")`).
+    Str,
+    /// `@`-annotation, `@` included, e.g. `@leak`, `@check`.
+    At,
     /// A punctuation / operator token, e.g. `{`, `==`, `&&`.
-    Punct(&'static str),
-    /// End of input.
+    Punct(Punct),
+    /// End of input (an empty range at the end of the source).
     Eof,
 }
 
-impl TokenKind {
-    /// Returns the identifier text, if this is an identifier.
-    pub fn ident(&self) -> Option<&str> {
-        match self {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for TokenKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenKind::Ident(s) => write!(f, "`{s}`"),
-            TokenKind::Int(v) => write!(f, "`{v}`"),
-            TokenKind::Str(s) => write!(f, "\"{s}\""),
-            TokenKind::At(s) => write!(f, "`@{s}`"),
-            TokenKind::Punct(p) => write!(f, "`{p}`"),
-            TokenKind::Eof => write!(f, "end of input"),
-        }
-    }
-}
-
-/// A token with its source span.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A token: its kind and where its text lies in the source.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Token {
     /// What was lexed.
     pub kind: TokenKind,
-    /// Where it was lexed.
-    pub span: Span,
+    /// Byte offset of the token's first byte.
+    pub start: u32,
+    /// Byte offset one past the token's last byte.
+    pub end: u32,
 }
 
-/// Multi-character operators, longest first so maximal munch works.
-const MULTI_PUNCT: &[&str] = &["==", "!=", "<=", ">=", "&&", "||"];
-/// Single-character punctuation.
-const SINGLE_PUNCT: &[&str] = &[
-    "{", "}", "(", ")", "[", "]", ";", ",", ".", "=", "<", ">", "+", "-", "*", "/", "%", "!",
-];
+impl Token {
+    /// The token's byte range.
+    pub fn range(&self) -> TextRange {
+        TextRange::new(self.start, self.end)
+    }
+
+    /// The token's text in `source`.
+    pub fn text<'s>(&self, source: &'s str) -> &'s str {
+        &source[self.start as usize..self.end as usize]
+    }
+
+    /// How error messages name the token: its text in backticks (an
+    /// integer by its value), a string by its unescaped contents in
+    /// quotes, or `end of input`.
+    pub fn describe(&self, source: &str) -> String {
+        match self.kind {
+            TokenKind::Eof => "end of input".to_string(),
+            TokenKind::Str => format!("\"{}\"", unescape(self.text(source))),
+            TokenKind::Int => format!("`{}`", int_value(self.text(source))),
+            _ => format!("`{}`", self.text(source)),
+        }
+    }
+}
+
+/// The value of an integer token's text (the lexer has checked it fits).
+pub fn int_value(text: &str) -> i64 {
+    text.bytes().fold(0i64, |v, d| {
+        v.wrapping_mul(10).wrapping_add(i64::from(d - b'0'))
+    })
+}
+
+/// The contents of a string token's text (quotes included): `\n` and
+/// `\t` are a newline and a tab, a backslash before any other character
+/// stands for that character.
+pub fn unescape(text: &str) -> String {
+    let inner = &text[1..text.len() - 1];
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('t') => out.push('\t'),
+            Some(other) => out.push(other),
+            None => {}
+        }
+    }
+    out
+}
 
 /// Tokenizes `source` completely.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] with [`Phase::Lex`] on unterminated comments
-/// or strings, malformed numbers, and unexpected characters.
+/// or strings, malformed numbers, unexpected characters, and sources of
+/// 4 GiB or more (offsets are 32-bit).
 pub fn tokenize(source: &str) -> Result<Vec<Token>> {
-    Lexer::new(source).run()
-}
-
-struct Lexer<'s> {
-    chars: Vec<char>,
-    pos: usize,
-    line: u32,
-    col: u32,
-    source_len: usize,
-    _marker: std::marker::PhantomData<&'s ()>,
-}
-
-impl<'s> Lexer<'s> {
-    fn new(source: &'s str) -> Self {
-        let chars: Vec<char> = source.chars().collect();
-        Lexer {
-            source_len: chars.len(),
-            chars,
-            pos: 0,
-            line: 1,
-            col: 1,
-            _marker: std::marker::PhantomData,
-        }
+    if u32::try_from(source.len()).is_err() {
+        return Err(CompileError::at(
+            Phase::Lex,
+            source,
+            TextRange::default(),
+            "source text exceeds 4 GiB",
+        ));
     }
-
-    fn here(&self) -> Pos {
-        Pos::new(self.line, self.col)
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn error(&self, start: Pos, message: impl Into<String>) -> CompileError {
-        CompileError::new(Phase::Lex, Span::new(start, self.here()), message)
-    }
-
-    fn skip_trivia(&mut self) -> Result<()> {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
+    let bytes = source.as_bytes();
+    let error = |start: usize, end: usize, message: String| {
+        CompileError::at(
+            Phase::Lex,
+            source,
+            TextRange::new(start as u32, end as u32),
+            message,
+        )
+    };
+    // Generated subjects average about five source bytes per token.
+    let mut tokens = Vec::with_capacity(bytes.len() / 5 + 1);
+    let mut i = 0;
+    loop {
+        i = skip_trivia(source, i)
+            .map_err(|start| error(start, bytes.len(), "unterminated block comment".into()))?;
+        let start = i;
+        let Some(&b) = bytes.get(i) else {
+            tokens.push(Token {
+                kind: TokenKind::Eof,
+                start: start as u32,
+                end: start as u32,
+            });
+            return Ok(tokens);
+        };
+        let kind = match b {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
+                i += 1;
+                while i < bytes.len()
+                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
+                {
+                    i += 1;
                 }
-                Some('/') if self.peek2() == Some('/') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some('/') if self.peek2() == Some('*') => {
-                    let start = self.here();
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match (self.peek(), self.peek2()) {
-                            (Some('*'), Some('/')) => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            (Some(_), _) => {
-                                self.bump();
-                            }
-                            (None, _) => {
-                                return Err(self.error(start, "unterminated block comment"))
-                            }
-                        }
-                    }
-                }
-                _ => return Ok(()),
+                Keyword::of(&bytes[start..i]).map_or(TokenKind::Ident, TokenKind::Keyword)
             }
-        }
-    }
-
-    fn run(mut self) -> Result<Vec<Token>> {
-        let mut tokens = Vec::new();
-        loop {
-            self.skip_trivia()?;
-            let start = self.here();
-            let Some(c) = self.peek() else {
-                tokens.push(Token {
-                    kind: TokenKind::Eof,
-                    span: Span::at(start),
-                });
-                break;
-            };
-            if c.is_ascii_alphabetic() || c == '_' || c == '$' {
-                let mut text = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '$' {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(text),
-                    span: Span::new(start, self.here()),
-                });
-            } else if c.is_ascii_digit() {
+            b'0'..=b'9' => {
                 let mut value: i64 = 0;
                 let mut overflow = false;
-                while let Some(c) = self.peek() {
-                    if let Some(d) = c.to_digit(10) {
-                        let (v, o1) = value.overflowing_mul(10);
-                        let (v, o2) = v.overflowing_add(d as i64);
-                        overflow |= o1 || o2;
-                        value = v;
-                        self.bump();
-                    } else {
-                        break;
-                    }
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    let (v, o1) = value.overflowing_mul(10);
+                    let (v, o2) = v.overflowing_add(i64::from(bytes[i] - b'0'));
+                    overflow |= o1 || o2;
+                    value = v;
+                    i += 1;
                 }
                 if overflow {
-                    return Err(self.error(start, "integer literal overflows i64"));
+                    return Err(error(start, i, "integer literal overflows i64".into()));
                 }
-                if matches!(self.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    return Err(self.error(start, "identifier cannot start with a digit"));
+                if i < bytes.len() && bytes[i].is_ascii_alphabetic() {
+                    return Err(error(
+                        start,
+                        i,
+                        "identifier cannot start with a digit".into(),
+                    ));
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Int(value),
-                    span: Span::new(start, self.here()),
-                });
-            } else if c == '"' {
-                self.bump();
-                let mut text = String::new();
+                TokenKind::Int
+            }
+            b'"' => {
+                i += 1;
                 loop {
-                    match self.bump() {
-                        Some('"') => break,
-                        Some('\\') => match self.bump() {
-                            Some('n') => text.push('\n'),
-                            Some('t') => text.push('\t'),
-                            Some(other) => text.push(other),
-                            None => return Err(self.error(start, "unterminated string literal")),
-                        },
-                        Some(other) => text.push(other),
-                        None => return Err(self.error(start, "unterminated string literal")),
+                    match bytes.get(i) {
+                        Some(b'"') => break,
+                        // A backslash escapes the next character; its
+                        // UTF-8 continuation bytes (if any) are never a
+                        // quote or a backslash, so skipping one byte is
+                        // enough.
+                        Some(b'\\') if i + 1 < bytes.len() => i += 2,
+                        Some(b'\\') | None => {
+                            return Err(error(
+                                start,
+                                bytes.len(),
+                                "unterminated string literal".into(),
+                            ))
+                        }
+                        Some(_) => i += 1,
                     }
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Str(text),
-                    span: Span::new(start, self.here()),
-                });
-            } else if c == '@' {
-                self.bump();
-                let mut text = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if text.is_empty() {
-                    return Err(self.error(start, "expected annotation name after `@`"));
-                }
-                tokens.push(Token {
-                    kind: TokenKind::At(text),
-                    span: Span::new(start, self.here()),
-                });
-            } else {
-                let mut matched = None;
-                for p in MULTI_PUNCT {
-                    let mut chars = p.chars();
-                    if Some(c) == chars.next() && self.peek2() == chars.next() {
-                        matched = Some(*p);
-                        break;
-                    }
-                }
-                if let Some(p) = matched {
-                    self.bump();
-                    self.bump();
-                    tokens.push(Token {
-                        kind: TokenKind::Punct(p),
-                        span: Span::new(start, self.here()),
-                    });
-                } else if let Some(p) = SINGLE_PUNCT.iter().find(|p| p.starts_with(c)) {
-                    self.bump();
-                    tokens.push(Token {
-                        kind: TokenKind::Punct(p),
-                        span: Span::new(start, self.here()),
-                    });
-                } else {
-                    return Err(self.error(start, format!("unexpected character `{c}`")));
-                }
+                i += 1;
+                TokenKind::Str
             }
-            if self.pos > self.source_len {
-                break;
+            b'@' => {
+                i += 1;
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
+                }
+                if i == start + 1 {
+                    return Err(error(start, i, "expected annotation name after `@`".into()));
+                }
+                TokenKind::At
             }
-        }
-        Ok(tokens)
+            _ => match Punct::of(b, bytes.get(i + 1).copied()) {
+                Some((p, len)) => {
+                    i += len as usize;
+                    TokenKind::Punct(p)
+                }
+                None => {
+                    let c = source[start..].chars().next().expect("not at end of input");
+                    return Err(error(start, start, format!("unexpected character `{c}`")));
+                }
+            },
+        };
+        tokens.push(Token {
+            kind,
+            start: start as u32,
+            end: i as u32,
+        });
     }
+}
+
+/// Skips whitespace (any Unicode whitespace) and comments from byte
+/// offset `i`; returns the offset of the next token. An unterminated
+/// block comment is an `Err` holding the comment's start.
+fn skip_trivia(source: &str, mut i: usize) -> std::result::Result<usize, usize> {
+    let bytes = source.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b' ' | b'\t' | b'\n' | b'\r' | 0x0B | 0x0C => i += 1,
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                i += 2;
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
+                let start = i;
+                i += 2;
+                loop {
+                    match bytes.get(i) {
+                        Some(b'*') if bytes.get(i + 1) == Some(&b'/') => {
+                            i += 2;
+                            break;
+                        }
+                        Some(_) => i += 1,
+                        None => return Err(start),
+                    }
+                }
+            }
+            0x80.. => {
+                let c = source[i..].chars().next().expect("on a character boundary");
+                if !c.is_whitespace() {
+                    break;
+                }
+                i += c.len_utf8();
+            }
+            _ => break,
+        }
+    }
+    Ok(i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Pos;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
+    fn texts(src: &str) -> Vec<&str> {
+        tokenize(src).unwrap().iter().map(|t| t.text(src)).collect()
+    }
+
+    #[test]
+    fn tokens_are_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Token>(), 12);
+    }
+
     #[test]
     fn lexes_identifiers_and_keywords() {
-        let k = kinds("class Foo extends Bar");
+        let src = "class Foo extends Bar";
         assert_eq!(
-            k,
+            kinds(src),
             vec![
-                TokenKind::Ident("class".into()),
-                TokenKind::Ident("Foo".into()),
-                TokenKind::Ident("extends".into()),
-                TokenKind::Ident("Bar".into()),
+                TokenKind::Keyword(Keyword::Class),
+                TokenKind::Ident,
+                TokenKind::Keyword(Keyword::Extends),
+                TokenKind::Ident,
                 TokenKind::Eof,
             ]
         );
+        assert_eq!(texts(src), vec!["class", "Foo", "extends", "Bar", ""]);
     }
 
     #[test]
     fn lexes_operators_with_maximal_munch() {
         let k = kinds("a <= b == c && d");
-        assert!(k.contains(&TokenKind::Punct("<=")));
-        assert!(k.contains(&TokenKind::Punct("==")));
-        assert!(k.contains(&TokenKind::Punct("&&")));
+        assert!(k.contains(&TokenKind::Punct(Punct::Le)));
+        assert!(k.contains(&TokenKind::Punct(Punct::EqEq)));
+        assert!(k.contains(&TokenKind::Punct(Punct::AndAnd)));
         let k = kinds("a < = b");
-        assert!(k.contains(&TokenKind::Punct("<")));
-        assert!(k.contains(&TokenKind::Punct("=")));
+        assert!(k.contains(&TokenKind::Punct(Punct::Lt)));
+        assert!(k.contains(&TokenKind::Punct(Punct::Assign)));
     }
 
     #[test]
     fn lexes_numbers_strings_annotations() {
-        let k = kinds("x = 42; @fp(\"singleton\")");
-        assert!(k.contains(&TokenKind::Int(42)));
-        assert!(k.contains(&TokenKind::At("fp".into())));
-        assert!(k.contains(&TokenKind::Str("singleton".into())));
+        let src = "x = 42; @fp(\"singleton\")";
+        let toks = tokenize(src).unwrap();
+        let int = toks.iter().find(|t| t.kind == TokenKind::Int).unwrap();
+        assert_eq!(int_value(int.text(src)), 42);
+        let at = toks.iter().find(|t| t.kind == TokenKind::At).unwrap();
+        assert_eq!(at.text(src), "@fp");
+        let s = toks.iter().find(|t| t.kind == TokenKind::Str).unwrap();
+        assert_eq!(unescape(s.text(src)), "singleton");
     }
 
     #[test]
     fn skips_comments() {
-        let k = kinds("a // line comment\n /* block\ncomment */ b");
+        let src = "a // line comment\n /* block\ncomment */ b";
         assert_eq!(
-            k,
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("b".into()),
-                TokenKind::Eof,
-            ]
+            kinds(src),
+            vec![TokenKind::Ident, TokenKind::Ident, TokenKind::Eof]
         );
+        assert_eq!(texts(src), vec!["a", "b", ""]);
     }
 
     #[test]
     fn tracks_positions() {
-        let toks = tokenize("ab\n  cd").unwrap();
-        assert_eq!(toks[0].span.start, Pos::new(1, 1));
-        assert_eq!(toks[1].span.start, Pos::new(2, 3));
+        let src = "ab\n  cd";
+        let toks = tokenize(src).unwrap();
+        let pos = |t: &Token| crate::error::Span::of(src, t.range()).start;
+        assert_eq!(pos(&toks[0]), Pos::new(1, 1));
+        assert_eq!(pos(&toks[1]), Pos::new(2, 3));
     }
 
     #[test]
@@ -367,7 +552,9 @@ mod tests {
 
     #[test]
     fn string_escapes() {
-        let k = kinds(r#""a\nb\"c""#);
-        assert_eq!(k[0], TokenKind::Str("a\nb\"c".into()));
+        let src = r#""a\nb\"c""#;
+        let toks = tokenize(src).unwrap();
+        assert_eq!(toks[0].kind, TokenKind::Str);
+        assert_eq!(unescape(toks[0].text(src)), "a\nb\"c");
     }
 }

@@ -47,10 +47,14 @@ pub mod lexer;
 pub mod parser;
 pub mod resolve;
 
-pub use error::{CompileError, Phase, Pos, Span};
+pub use error::{CompileError, Phase, Pos, Span, TextRange};
 pub use resolve::CompiledUnit;
 
 /// Compiles source text to IR in one step: tokenize, parse, resolve.
+///
+/// The stages share no copies: tokens are byte ranges of `source`, the
+/// syntax tree is a handful of flat vectors with names interned once,
+/// and lowering borrows both.
 ///
 /// # Errors
 ///

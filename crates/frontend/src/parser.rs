@@ -1,146 +1,208 @@
 //! Recursive-descent parser for the surface language.
+//!
+//! The parser reads the token vector by reference and appends nodes to
+//! the [`Unit`]'s arenas. Blocks and argument lists collect their
+//! children's ids on a scratch stack and move them into one list arena
+//! when they close.
 
 use crate::ast::{
-    AllocAnnotation, ClassDecl, Expr, FieldDecl, MethodDecl, Param, Stmt, TypeName, Unit,
+    sym, AllocAnnotation, ClassDecl, Expr, ExprId, ExprKind, FieldDecl, List, MethodDecl, Param,
+    Stmt, StmtId, Symbol, TypeName, Unit,
 };
-use crate::error::{CompileError, Phase, Result, Span};
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::error::{CompileError, Phase, Result, TextRange};
+use crate::lexer::{int_value, tokenize, unescape, Keyword, Punct, Token, TokenKind};
+use leakchecker_ir::stmt::BinOp;
+
+/// How deep syntax may nest: blocks (an `else if` counts as one),
+/// parenthesised and other sub-expressions (call arguments, indices,
+/// array lengths), unary operators, and member accesses, calls and
+/// indexing in one postfix chain all add a level. Parsing, lowering and
+/// every analysis recurse over this nesting, so the budget bounds their
+/// stack use; the parser refuses a deeper program with one syntax error
+/// before it builds the deeper node. Left-associative operator chains
+/// such as `1 + 1 + … + 1` are flat and do not count.
+pub const MAX_NESTING: u32 = 256;
 
 /// Parses a complete compilation unit.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
-pub fn parse(source: &str) -> Result<Unit> {
+/// Returns the first lexical or syntactic error encountered, including
+/// nesting beyond [`MAX_NESTING`].
+pub fn parse(source: &str) -> Result<Unit<'_>> {
     let tokens = tokenize(source)?;
-    Parser { tokens, pos: 0 }.unit()
+    let mut unit = Unit {
+        source,
+        ..Unit::default()
+    };
+    unit.exprs.reserve(tokens.len() / 3);
+    unit.stmts.reserve(tokens.len() / 8);
+    let mut parser = Parser {
+        tokens: &tokens,
+        pos: 0,
+        depth: 0,
+        unit,
+        stmt_scratch: Vec::new(),
+        expr_scratch: Vec::new(),
+    };
+    parser.classes()?;
+    Ok(parser.unit)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'t, 's> {
+    tokens: &'t [Token],
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: u32,
+    unit: Unit<'s>,
+    stmt_scratch: Vec<StmtId>,
+    expr_scratch: Vec<ExprId>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Token {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    fn peek2(&self) -> Token {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
-    fn peek2_kind(&self) -> &TokenKind {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
-    fn span(&self) -> Span {
-        self.peek().span
+    fn range(&self) -> TextRange {
+        self.peek().range()
+    }
+
+    fn text(&self, token: Token) -> &'s str {
+        token.text(self.unit.source)
     }
 
     fn error(&self, message: impl Into<String>) -> CompileError {
-        CompileError::new(Phase::Parse, self.span(), message)
+        CompileError::at(Phase::Parse, self.unit.source, self.range(), message)
     }
 
-    fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek_kind(), TokenKind::Punct(q) if *q == p) {
+    fn found(&self) -> String {
+        self.peek().describe(self.unit.source)
+    }
+
+    fn at(&self, p: Punct) -> bool {
+        self.peek().kind == TokenKind::Punct(p)
+    }
+
+    fn eat_punct(&mut self, p: Punct) -> bool {
+        let hit = self.at(p);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn expect_punct(&mut self, p: &str) -> Result<()> {
+    fn expect_punct(&mut self, p: Punct) -> Result<()> {
         if self.eat_punct(p) {
             Ok(())
         } else {
-            Err(self.error(format!("expected `{p}`, found {}", self.peek_kind())))
+            Err(self.error(format!("expected `{}`, found {}", p.text(), self.found())))
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek_kind(), TokenKind::Ident(s) if s == kw) {
+    fn at_keyword(&self, kw: Keyword) -> bool {
+        self.peek().kind == TokenKind::Keyword(kw)
+    }
+
+    fn eat_keyword(&mut self, kw: Keyword) -> bool {
+        let hit = self.at_keyword(kw);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
+    fn expect_keyword(&mut self, kw: Keyword, text: &str) -> Result<()> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
-            Err(self.error(format!("expected `{kw}`, found {}", self.peek_kind())))
+            Err(self.error(format!("expected `{text}`, found {}", self.found())))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) if !is_keyword(&s) => {
-                let span = self.span();
-                self.bump();
-                Ok((s, span))
-            }
-            other => Err(self.error(format!("expected identifier, found {other}"))),
+    fn expect_ident(&mut self) -> Result<Symbol> {
+        let token = self.peek();
+        if token.kind != TokenKind::Ident {
+            return Err(self.error(format!("expected identifier, found {}", self.found())));
         }
+        self.bump();
+        Ok(self.unit.names.intern(self.text(token)))
     }
 
-    fn unit(&mut self) -> Result<Unit> {
-        let mut classes = Vec::new();
-        while !matches!(self.peek_kind(), TokenKind::Eof) {
-            classes.push(self.class_decl()?);
-        }
-        Ok(Unit { classes })
+    /// The annotation name of an `@` token at the cursor.
+    fn annotation(&self) -> Option<&'s str> {
+        let token = self.peek();
+        (token.kind == TokenKind::At).then(|| &self.text(token)[1..])
     }
 
-    fn class_decl(&mut self) -> Result<ClassDecl> {
-        let span = self.span();
-        let is_library = self.eat_keyword("library");
-        self.expect_keyword("class")?;
-        let (name, _) = self.expect_ident()?;
-        let superclass = if self.eat_keyword("extends") {
-            Some(self.expect_ident()?.0)
+    /// Enters one nesting level, refusing to go past [`MAX_NESTING`].
+    fn enter(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error(format!("program nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    fn expr_node(&mut self, kind: ExprKind, span: TextRange) -> ExprId {
+        self.unit.push_expr(Expr { kind, span })
+    }
+
+    fn classes(&mut self) -> Result<()> {
+        while self.peek().kind != TokenKind::Eof {
+            self.class_decl()?;
+        }
+        Ok(())
+    }
+
+    fn class_decl(&mut self) -> Result<()> {
+        let span = self.range();
+        let is_library = self.eat_keyword(Keyword::Library);
+        self.expect_keyword(Keyword::Class, "class")?;
+        let name = self.expect_ident()?;
+        let superclass = if self.eat_keyword(Keyword::Extends) {
+            Some(self.expect_ident()?)
         } else {
             None
         };
-        self.expect_punct("{")?;
-        let mut fields = Vec::new();
-        let mut methods = Vec::new();
-        while !self.eat_punct("}") {
-            if matches!(self.peek_kind(), TokenKind::Eof) {
+        self.expect_punct(Punct::LBrace)?;
+        let fields = self.unit.fields.len();
+        let methods = self.unit.methods.len();
+        while !self.eat_punct(Punct::RBrace) {
+            if self.peek().kind == TokenKind::Eof {
                 return Err(self.error("unexpected end of input inside class body"));
             }
-            self.member(&name, &mut fields, &mut methods)?;
+            self.member(name)?;
         }
-        Ok(ClassDecl {
+        self.unit.classes.push(ClassDecl {
             name,
             superclass,
             is_library,
-            fields,
-            methods,
+            fields: fields..self.unit.fields.len(),
+            methods: methods..self.unit.methods.len(),
             span,
-        })
+        });
+        Ok(())
     }
 
-    fn member(
-        &mut self,
-        class_name: &str,
-        fields: &mut Vec<FieldDecl>,
-        methods: &mut Vec<MethodDecl>,
-    ) -> Result<()> {
-        let span = self.span();
+    fn member(&mut self, class_name: Symbol) -> Result<()> {
+        let span = self.range();
         let mut is_region = false;
-        while let TokenKind::At(a) = self.peek_kind().clone() {
+        while let Some(a) = self.annotation() {
             if a == "region" {
                 is_region = true;
                 self.bump();
@@ -148,23 +210,25 @@ impl Parser {
                 return Err(self.error(format!("annotation `@{a}` is not valid on members")));
             }
         }
-        let is_static = self.eat_keyword("static");
+        let is_static = self.eat_keyword(Keyword::Static);
 
         // Constructor: `ClassName ( ... )`.
+        let first = self.peek();
         if !is_static
-            && matches!(self.peek_kind(), TokenKind::Ident(s) if s == class_name)
-            && matches!(self.peek2_kind(), TokenKind::Punct("("))
+            && first.kind == TokenKind::Ident
+            && self.text(first) == self.unit.name(class_name)
+            && self.peek2().kind == TokenKind::Punct(Punct::LParen)
         {
-            let (_, _) = self.expect_ident()?;
+            self.bump();
             let params = self.params()?;
             let body = self.block()?;
-            methods.push(MethodDecl {
-                name: "<init>".to_string(),
+            self.unit.methods.push(MethodDecl {
+                name: sym::INIT,
                 is_ctor: true,
                 is_static: false,
                 is_region,
                 ret_ty: TypeName {
-                    base: "void".to_string(),
+                    base: sym::VOID,
                     dims: 0,
                     span,
                 },
@@ -176,11 +240,11 @@ impl Parser {
         }
 
         let ty = self.type_name()?;
-        let (name, _) = self.expect_ident()?;
-        if matches!(self.peek_kind(), TokenKind::Punct("(")) {
+        let name = self.expect_ident()?;
+        if self.at(Punct::LParen) {
             let params = self.params()?;
             let body = self.block()?;
-            methods.push(MethodDecl {
+            self.unit.methods.push(MethodDecl {
                 name,
                 is_ctor: false,
                 is_static,
@@ -194,13 +258,13 @@ impl Parser {
             if is_region {
                 return Err(self.error("`@region` is only valid on methods"));
             }
-            let init = if self.eat_punct("=") {
+            let init = if self.eat_punct(Punct::Assign) {
                 Some(self.expr()?)
             } else {
                 None
             };
-            self.expect_punct(";")?;
-            fields.push(FieldDecl {
+            self.expect_punct(Punct::Semi)?;
+            self.unit.fields.push(FieldDecl {
                 name,
                 ty,
                 is_static,
@@ -211,38 +275,36 @@ impl Parser {
         Ok(())
     }
 
-    fn params(&mut self) -> Result<Vec<Param>> {
-        self.expect_punct("(")?;
-        let mut params = Vec::new();
-        if !self.eat_punct(")") {
+    fn params(&mut self) -> Result<std::ops::Range<usize>> {
+        self.expect_punct(Punct::LParen)?;
+        let start = self.unit.params.len();
+        if !self.eat_punct(Punct::RParen) {
             loop {
                 let ty = self.type_name()?;
-                let (name, _) = self.expect_ident()?;
-                params.push(Param { name, ty });
-                if self.eat_punct(")") {
+                let name = self.expect_ident()?;
+                self.unit.params.push(Param { name, ty });
+                if self.eat_punct(Punct::RParen) {
                     break;
                 }
-                self.expect_punct(",")?;
+                self.expect_punct(Punct::Comma)?;
             }
         }
-        Ok(params)
+        Ok(start..self.unit.params.len())
     }
 
     fn type_name(&mut self) -> Result<TypeName> {
-        let span = self.span();
-        let base = match self.peek_kind().clone() {
-            TokenKind::Ident(s)
-                if s == "int" || s == "boolean" || s == "void" || !is_keyword(&s) =>
-            {
-                self.bump();
-                s
-            }
-            other => return Err(self.error(format!("expected type name, found {other}"))),
+        let span = self.range();
+        let token = self.peek();
+        let base = match token.kind {
+            TokenKind::Keyword(Keyword::Int) => sym::INT,
+            TokenKind::Keyword(Keyword::Boolean) => sym::BOOLEAN,
+            TokenKind::Keyword(Keyword::Void) => sym::VOID,
+            TokenKind::Ident => self.unit.names.intern(self.text(token)),
+            _ => return Err(self.error(format!("expected type name, found {}", self.found()))),
         };
+        self.bump();
         let mut dims = 0;
-        while matches!(self.peek_kind(), TokenKind::Punct("["))
-            && matches!(self.peek2_kind(), TokenKind::Punct("]"))
-        {
+        while self.at(Punct::LBracket) && self.peek2().kind == TokenKind::Punct(Punct::RBracket) {
             self.bump();
             self.bump();
             dims += 1;
@@ -250,454 +312,416 @@ impl Parser {
         Ok(TypeName { base, dims, span })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>> {
-        self.expect_punct("{")?;
-        let mut stmts = Vec::new();
-        while !self.eat_punct("}") {
-            if matches!(self.peek_kind(), TokenKind::Eof) {
+    fn block(&mut self) -> Result<List> {
+        if !self.at(Punct::LBrace) {
+            return Err(self.error(format!("expected `{{`, found {}", self.found())));
+        }
+        self.enter()?;
+        self.bump();
+        let mark = self.stmt_scratch.len();
+        while !self.eat_punct(Punct::RBrace) {
+            if self.peek().kind == TokenKind::Eof {
                 return Err(self.error("unexpected end of input inside block"));
             }
-            stmts.push(self.stmt()?);
+            let stmt = self.stmt()?;
+            self.stmt_scratch.push(stmt);
         }
-        Ok(stmts)
+        self.leave();
+        Ok(self.unit.seal_block(&mut self.stmt_scratch, mark))
     }
 
-    fn stmt(&mut self) -> Result<Stmt> {
-        let span = self.span();
+    fn stmt(&mut self) -> Result<StmtId> {
+        let span = self.range();
 
-        // `@check while (...)` — designated loop.
-        if let TokenKind::At(a) = self.peek_kind().clone() {
-            if a == "check" {
-                self.bump();
-                self.expect_keyword("while")?;
-                return self.while_stmt(true, span);
-            }
-            // allocation annotations are handled inside expressions
+        // `@check while (...)` — designated loop. Allocation annotations
+        // are handled inside expressions.
+        if self.annotation() == Some("check") {
+            self.bump();
+            self.expect_keyword(Keyword::While, "while")?;
+            return self.while_stmt(true);
         }
 
-        match self.peek_kind().clone() {
-            TokenKind::Ident(kw) if kw == "if" => {
+        let token = self.peek();
+        let stmt = match token.kind {
+            TokenKind::Keyword(Keyword::If) => {
                 self.bump();
-                self.expect_punct("(")?;
+                self.expect_punct(Punct::LParen)?;
                 let cond = self.expr()?;
-                self.expect_punct(")")?;
+                self.expect_punct(Punct::RParen)?;
                 let then_branch = self.block()?;
-                let else_branch = if self.eat_keyword("else") {
-                    if matches!(self.peek_kind(), TokenKind::Ident(s) if s == "if") {
-                        vec![self.stmt()?]
+                let else_branch = if self.eat_keyword(Keyword::Else) {
+                    if self.at_keyword(Keyword::If) {
+                        self.enter()?;
+                        let nested = self.stmt()?;
+                        self.leave();
+                        let mark = self.stmt_scratch.len();
+                        self.stmt_scratch.push(nested);
+                        self.unit.seal_block(&mut self.stmt_scratch, mark)
                     } else {
                         self.block()?
                     }
                 } else {
-                    Vec::new()
+                    List::default()
                 };
-                Ok(Stmt::If {
+                Stmt::If {
                     cond,
                     then_branch,
                     else_branch,
-                    span,
-                })
+                }
             }
-            TokenKind::Ident(kw) if kw == "while" => {
+            TokenKind::Keyword(Keyword::While) => {
                 self.bump();
-                self.while_stmt(false, span)
+                return self.while_stmt(false);
             }
-            TokenKind::Ident(kw) if kw == "return" => {
+            TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
-                let value = if self.eat_punct(";") {
+                let value = if self.eat_punct(Punct::Semi) {
                     None
                 } else {
                     let e = self.expr()?;
-                    self.expect_punct(";")?;
+                    self.expect_punct(Punct::Semi)?;
                     Some(e)
                 };
-                Ok(Stmt::Return(value, span))
+                Stmt::Return(value, span)
             }
-            TokenKind::Ident(kw) if kw == "break" => {
+            TokenKind::Keyword(Keyword::Break) => {
                 self.bump();
-                self.expect_punct(";")?;
-                Ok(Stmt::Break(span))
+                self.expect_punct(Punct::Semi)?;
+                Stmt::Break
             }
-            TokenKind::Ident(kw) if kw == "continue" => {
+            TokenKind::Keyword(Keyword::Continue) => {
                 self.bump();
-                self.expect_punct(";")?;
-                Ok(Stmt::Continue(span))
+                self.expect_punct(Punct::Semi)?;
+                Stmt::Continue
             }
             // Variable declaration: `Type name ...` — distinguish from an
             // assignment/expression by lookahead: ident ident, or
             // ident[] ident. The base type is a class name or one of the
             // primitive type keywords.
-            TokenKind::Ident(s)
-                if (s == "int" || s == "boolean" || !is_keyword(&s))
-                    && (matches!(self.peek2_kind(), TokenKind::Ident(n) if !is_keyword(n))
-                        || self.looks_like_array_decl()) =>
+            TokenKind::Ident
+            | TokenKind::Keyword(Keyword::Int)
+            | TokenKind::Keyword(Keyword::Boolean)
+                if self.peek2().kind == TokenKind::Ident || self.looks_like_array_decl() =>
             {
                 let ty = self.type_name()?;
-                let (name, _) = self.expect_ident()?;
-                let init = if self.eat_punct("=") {
+                let name = self.expect_ident()?;
+                let init = if self.eat_punct(Punct::Assign) {
                     Some(self.expr()?)
                 } else {
                     None
                 };
-                self.expect_punct(";")?;
-                Ok(Stmt::VarDecl {
+                self.expect_punct(Punct::Semi)?;
+                Stmt::VarDecl {
                     ty,
                     name,
                     init,
                     span,
-                })
-            }
-            _ => {
-                let e = self.expr()?;
-                if self.eat_punct("=") {
-                    let value = self.expr()?;
-                    self.expect_punct(";")?;
-                    Ok(Stmt::Assign {
-                        target: e,
-                        value,
-                        span,
-                    })
-                } else {
-                    self.expect_punct(";")?;
-                    Ok(Stmt::Expr(e))
                 }
             }
-        }
+            _ => {
+                let target = self.expr()?;
+                if self.eat_punct(Punct::Assign) {
+                    let value = self.expr()?;
+                    self.expect_punct(Punct::Semi)?;
+                    Stmt::Assign {
+                        target,
+                        value,
+                        span,
+                    }
+                } else {
+                    self.expect_punct(Punct::Semi)?;
+                    Stmt::Expr(target)
+                }
+            }
+        };
+        Ok(self.unit.push_stmt(stmt))
     }
 
     /// True for `Ident [ ] Ident`, the start of an array-typed declaration.
     fn looks_like_array_decl(&self) -> bool {
-        matches!(self.peek2_kind(), TokenKind::Punct("["))
-            && matches!(
-                self.tokens.get(self.pos + 2).map(|t| &t.kind),
-                Some(TokenKind::Punct("]"))
-            )
+        self.peek2().kind == TokenKind::Punct(Punct::LBracket)
+            && self
+                .tokens
+                .get(self.pos + 2)
+                .is_some_and(|t| t.kind == TokenKind::Punct(Punct::RBracket))
     }
 
-    fn while_stmt(&mut self, checked: bool, span: Span) -> Result<Stmt> {
-        self.expect_punct("(")?;
+    fn while_stmt(&mut self, checked: bool) -> Result<StmtId> {
+        self.expect_punct(Punct::LParen)?;
         let cond = self.expr()?;
-        self.expect_punct(")")?;
+        self.expect_punct(Punct::RParen)?;
         let body = self.block()?;
-        Ok(Stmt::While {
+        Ok(self.unit.push_stmt(Stmt::While {
             cond,
             body,
             checked,
-            span,
+        }))
+    }
+
+    fn expr(&mut self) -> Result<ExprId> {
+        self.enter()?;
+        let e = self.or_expr()?;
+        self.leave();
+        Ok(e)
+    }
+
+    /// One left-associative precedence level: `next (op next)*`, where
+    /// `op_of` maps the operator tokens of this level. Chains are built
+    /// in a loop, so their length costs no stack.
+    fn left_chain(
+        &mut self,
+        next: fn(&mut Self) -> Result<ExprId>,
+        op_of: fn(Punct) -> Option<BinOp>,
+    ) -> Result<ExprId> {
+        let mut lhs = next(self)?;
+        while let TokenKind::Punct(p) = self.peek().kind {
+            let Some(op) = op_of(p) else { break };
+            let span = self.range();
+            self.bump();
+            let rhs = next(self)?;
+            lhs = self.expr_node(ExprKind::Binary { op, lhs, rhs }, span);
+        }
+        Ok(lhs)
+    }
+
+    fn or_expr(&mut self) -> Result<ExprId> {
+        self.left_chain(Self::and_expr, |p| (p == Punct::OrOr).then_some(BinOp::Or))
+    }
+
+    fn and_expr(&mut self) -> Result<ExprId> {
+        self.left_chain(Self::cmp_expr, |p| {
+            (p == Punct::AndAnd).then_some(BinOp::And)
         })
     }
 
-    fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while matches!(self.peek_kind(), TokenKind::Punct("||")) {
-            let span = self.span();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: "||",
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while matches!(self.peek_kind(), TokenKind::Punct("&&")) {
-            let span = self.span();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: "&&",
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr> {
+    fn cmp_expr(&mut self) -> Result<ExprId> {
         let lhs = self.add_expr()?;
-        let op = match self.peek_kind() {
-            TokenKind::Punct(p @ ("==" | "!=" | "<" | "<=" | ">" | ">=")) => *p,
+        let op = match self.peek().kind {
+            TokenKind::Punct(Punct::EqEq) => BinOp::Eq,
+            TokenKind::Punct(Punct::NotEq) => BinOp::Ne,
+            TokenKind::Punct(Punct::Lt) => BinOp::Lt,
+            TokenKind::Punct(Punct::Le) => BinOp::Le,
+            TokenKind::Punct(Punct::Gt) => BinOp::Gt,
+            TokenKind::Punct(Punct::Ge) => BinOp::Ge,
             _ => return Ok(lhs),
         };
-        let span = self.span();
+        let span = self.range();
         self.bump();
         let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            span,
+        Ok(self.expr_node(ExprKind::Binary { op, lhs, rhs }, span))
+    }
+
+    fn add_expr(&mut self) -> Result<ExprId> {
+        self.left_chain(Self::mul_expr, |p| match p {
+            Punct::Plus => Some(BinOp::Add),
+            Punct::Minus => Some(BinOp::Sub),
+            _ => None,
         })
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.mul_expr()?;
-        while let TokenKind::Punct(p @ ("+" | "-")) = self.peek_kind() {
-            let op = *p;
-            let span = self.span();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
+    fn mul_expr(&mut self) -> Result<ExprId> {
+        self.left_chain(Self::unary_expr, |p| match p {
+            Punct::Star => Some(BinOp::Mul),
+            Punct::Slash => Some(BinOp::Div),
+            Punct::Percent => Some(BinOp::Rem),
+            _ => None,
+        })
     }
 
-    fn mul_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary_expr()?;
-        while let TokenKind::Punct(p @ ("*" | "/" | "%")) = self.peek_kind() {
-            let op = *p;
-            let span = self.span();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
+    fn unary_expr(&mut self) -> Result<ExprId> {
+        let span = self.range();
+        let negate = match self.peek().kind {
+            TokenKind::Punct(Punct::Bang) => false,
+            TokenKind::Punct(Punct::Minus) => true,
+            _ => return self.postfix_expr(),
+        };
+        self.enter()?;
+        self.bump();
+        let e = self.unary_expr()?;
+        self.leave();
+        let kind = if negate {
+            ExprKind::Neg(e)
+        } else {
+            ExprKind::Not(e)
+        };
+        Ok(self.expr_node(kind, span))
     }
 
-    fn unary_expr(&mut self) -> Result<Expr> {
-        let span = self.span();
-        if self.eat_punct("!") {
-            let e = self.unary_expr()?;
-            return Ok(Expr::Not(Box::new(e), span));
-        }
-        if self.eat_punct("-") {
-            let e = self.unary_expr()?;
-            return Ok(Expr::Neg(Box::new(e), span));
-        }
-        self.postfix_expr()
-    }
-
-    fn postfix_expr(&mut self) -> Result<Expr> {
+    fn postfix_expr(&mut self) -> Result<ExprId> {
         let mut e = self.primary_expr()?;
+        let outer = self.depth;
         loop {
-            let span = self.span();
-            if self.eat_punct(".") {
-                let (name, _) = self.expect_ident()?;
-                if matches!(self.peek_kind(), TokenKind::Punct("(")) {
+            let span = self.range();
+            if self.at(Punct::Dot) {
+                self.enter()?;
+                self.bump();
+                let name = self.expect_ident()?;
+                let kind = if self.at(Punct::LParen) {
                     let args = self.args()?;
-                    e = Expr::Call {
-                        base: Some(Box::new(e)),
+                    ExprKind::Call {
+                        base: Some(e),
                         name,
                         args,
-                        span,
-                    };
+                    }
                 } else {
-                    e = Expr::Field {
-                        base: Box::new(e),
-                        name,
-                        span,
-                    };
-                }
-            } else if matches!(self.peek_kind(), TokenKind::Punct("["))
-                && !matches!(self.peek2_kind(), TokenKind::Punct("]"))
+                    ExprKind::Field { base: e, name }
+                };
+                e = self.expr_node(kind, span);
+            } else if self.at(Punct::LBracket)
+                && self.peek2().kind != TokenKind::Punct(Punct::RBracket)
             {
+                self.enter()?;
                 self.bump();
                 let index = self.expr()?;
-                self.expect_punct("]")?;
-                e = Expr::Index {
-                    base: Box::new(e),
-                    index: Box::new(index),
-                    span,
-                };
+                self.expect_punct(Punct::RBracket)?;
+                e = self.expr_node(ExprKind::Index { base: e, index }, span);
             } else {
                 break;
             }
         }
+        self.depth = outer;
         Ok(e)
     }
 
-    fn args(&mut self) -> Result<Vec<Expr>> {
-        self.expect_punct("(")?;
-        let mut args = Vec::new();
-        if !self.eat_punct(")") {
+    fn args(&mut self) -> Result<List> {
+        self.expect_punct(Punct::LParen)?;
+        let mark = self.expr_scratch.len();
+        if !self.eat_punct(Punct::RParen) {
             loop {
-                args.push(self.expr()?);
-                if self.eat_punct(")") {
+                let arg = self.expr()?;
+                self.expr_scratch.push(arg);
+                if self.eat_punct(Punct::RParen) {
                     break;
                 }
-                self.expect_punct(",")?;
+                self.expect_punct(Punct::Comma)?;
             }
         }
-        Ok(args)
+        Ok(self.unit.seal_args(&mut self.expr_scratch, mark))
     }
 
     fn alloc_annotation(&mut self) -> Result<Option<AllocAnnotation>> {
-        if let TokenKind::At(a) = self.peek_kind().clone() {
-            match a.as_str() {
-                "leak" => {
-                    self.bump();
-                    return Ok(Some(AllocAnnotation::Leak));
-                }
-                "fp" => {
-                    self.bump();
-                    self.expect_punct("(")?;
-                    let reason = match self.peek_kind().clone() {
-                        TokenKind::Str(s) => {
-                            self.bump();
-                            s
-                        }
-                        other => {
-                            return Err(
-                                self.error(format!("expected string in `@fp(..)`, found {other}"))
-                            )
-                        }
-                    };
-                    self.expect_punct(")")?;
-                    return Ok(Some(AllocAnnotation::FalsePositive(reason)));
-                }
-                other => {
-                    return Err(self.error(format!(
-                        "annotation `@{other}` is not valid in expression position"
-                    )))
-                }
+        let Some(a) = self.annotation() else {
+            return Ok(None);
+        };
+        match a {
+            "leak" => {
+                self.bump();
+                Ok(Some(AllocAnnotation::Leak))
             }
+            "fp" => {
+                self.bump();
+                self.expect_punct(Punct::LParen)?;
+                let token = self.peek();
+                if token.kind != TokenKind::Str {
+                    return Err(self.error(format!(
+                        "expected string in `@fp(..)`, found {}",
+                        self.found()
+                    )));
+                }
+                self.bump();
+                let reason = unescape(self.text(token));
+                self.expect_punct(Punct::RParen)?;
+                self.unit.strings.push(reason);
+                Ok(Some(AllocAnnotation::FalsePositive(
+                    self.unit.strings.len() as u32 - 1,
+                )))
+            }
+            other => Err(self.error(format!(
+                "annotation `@{other}` is not valid in expression position"
+            ))),
         }
-        Ok(None)
     }
 
-    fn primary_expr(&mut self) -> Result<Expr> {
-        let span = self.span();
-        let annotation = self.alloc_annotation()?;
-        if let Some(annotation) = annotation {
+    fn primary_expr(&mut self) -> Result<ExprId> {
+        let span = self.range();
+        if let Some(annotation) = self.alloc_annotation()? {
             // Annotation must be followed by `new`.
-            self.expect_keyword("new")?;
+            self.expect_keyword(Keyword::New, "new")?;
             return self.new_expr(Some(annotation), span);
         }
-        match self.peek_kind().clone() {
-            TokenKind::Punct("(") => {
+        let token = self.peek();
+        let kind = match token.kind {
+            TokenKind::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect_punct(")")?;
-                Ok(e)
+                self.expect_punct(Punct::RParen)?;
+                return Ok(e);
             }
-            TokenKind::Int(v) => {
+            TokenKind::Int => ExprKind::Int(int_value(self.text(token))),
+            TokenKind::Keyword(Keyword::Null) => ExprKind::Null,
+            TokenKind::Keyword(Keyword::This) => ExprKind::This,
+            TokenKind::Keyword(Keyword::True) => ExprKind::Bool(true),
+            TokenKind::Keyword(Keyword::False) => ExprKind::Bool(false),
+            TokenKind::Keyword(Keyword::New) => {
                 self.bump();
-                Ok(Expr::Int(v, span))
+                return self.new_expr(None, span);
             }
-            TokenKind::Ident(s) => match s.as_str() {
-                "null" => {
-                    self.bump();
-                    Ok(Expr::Null(span))
-                }
-                "this" => {
-                    self.bump();
-                    Ok(Expr::This(span))
-                }
-                "true" => {
-                    self.bump();
-                    Ok(Expr::Bool(true, span))
-                }
-                "false" => {
-                    self.bump();
-                    Ok(Expr::Bool(false, span))
-                }
-                "new" => {
-                    self.bump();
-                    self.new_expr(None, span)
-                }
-                "nondet" => {
-                    self.bump();
-                    self.expect_punct("(")?;
-                    self.expect_punct(")")?;
-                    Ok(Expr::NonDet(span))
-                }
-                _ if is_keyword(&s) => {
-                    Err(self.error(format!("unexpected keyword `{s}` in expression")))
-                }
-                _ => {
-                    self.bump();
-                    if matches!(self.peek_kind(), TokenKind::Punct("(")) {
-                        let args = self.args()?;
-                        Ok(Expr::Call {
-                            base: None,
-                            name: s,
-                            args,
-                            span,
-                        })
-                    } else {
-                        Ok(Expr::Name(s, span))
+            TokenKind::Keyword(Keyword::Nondet) => {
+                self.bump();
+                self.expect_punct(Punct::LParen)?;
+                self.expect_punct(Punct::RParen)?;
+                return Ok(self.expr_node(ExprKind::NonDet, span));
+            }
+            TokenKind::Keyword(_) => {
+                return Err(self.error(format!(
+                    "unexpected keyword `{}` in expression",
+                    self.text(token)
+                )))
+            }
+            TokenKind::Ident => {
+                self.bump();
+                let name = self.unit.names.intern(self.text(token));
+                let kind = if self.at(Punct::LParen) {
+                    let args = self.args()?;
+                    ExprKind::Call {
+                        base: None,
+                        name,
+                        args,
                     }
-                }
-            },
-            other => Err(self.error(format!("unexpected {other} in expression"))),
-        }
+                } else {
+                    ExprKind::Name(name)
+                };
+                return Ok(self.expr_node(kind, span));
+            }
+            _ => return Err(self.error(format!("unexpected {} in expression", self.found()))),
+        };
+        self.bump();
+        Ok(self.expr_node(kind, span))
     }
 
-    fn new_expr(&mut self, annotation: Option<AllocAnnotation>, span: Span) -> Result<Expr> {
+    fn new_expr(&mut self, annotation: Option<AllocAnnotation>, span: TextRange) -> Result<ExprId> {
         let ty = self.type_name()?;
-        if matches!(self.peek_kind(), TokenKind::Punct("[")) {
+        let kind = if self.at(Punct::LBracket) {
             self.bump();
             let len = self.expr()?;
-            self.expect_punct("]")?;
-            Ok(Expr::NewArray {
+            self.expect_punct(Punct::RBracket)?;
+            ExprKind::NewArray {
                 elem: ty,
-                len: Box::new(len),
+                len,
                 annotation,
-                span,
-            })
+            }
         } else if ty.dims > 0 {
-            Err(self.error("array allocation requires a length: `new T[n]`"))
+            return Err(self.error("array allocation requires a length: `new T[n]`"));
         } else {
             let args = self.args()?;
-            Ok(Expr::New {
+            ExprKind::New {
                 class: ty.base,
                 args,
                 annotation,
-                span,
-            })
-        }
+            }
+        };
+        Ok(self.expr_node(kind, span))
     }
-}
-
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "class"
-            | "extends"
-            | "library"
-            | "static"
-            | "if"
-            | "else"
-            | "while"
-            | "return"
-            | "break"
-            | "continue"
-            | "new"
-            | "null"
-            | "this"
-            | "true"
-            | "false"
-            | "int"
-            | "boolean"
-            | "void"
-            | "nondet"
-            | "super"
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn body<'u>(unit: &'u Unit<'_>, method: usize) -> Vec<&'u Stmt> {
+        let m = &unit.methods[method];
+        unit.block(m.body).iter().map(|&s| unit.stmt(s)).collect()
+    }
 
     #[test]
     fn parses_class_with_fields_and_methods() {
@@ -712,18 +736,20 @@ mod tests {
         .unwrap();
         assert_eq!(unit.classes.len(), 2);
         let tx = &unit.classes[1];
-        assert_eq!(tx.fields.len(), 2);
-        assert!(tx.fields[1].is_static);
-        assert_eq!(tx.methods.len(), 1);
-        assert_eq!(tx.methods[0].params.len(), 1);
+        let fields = unit.fields_of(tx);
+        assert_eq!(fields.len(), 2);
+        assert!(fields[1].is_static);
+        let methods = unit.methods_of(tx);
+        assert_eq!(methods.len(), 1);
+        assert_eq!(unit.params_of(&methods[0]).len(), 1);
     }
 
     #[test]
     fn parses_constructor() {
         let unit = parse("class C { int x; C(int v) { this.x = v; } }").unwrap();
-        let m = &unit.classes[0].methods[0];
+        let m = &unit.methods[0];
         assert!(m.is_ctor);
-        assert_eq!(m.name, "<init>");
+        assert_eq!(unit.name(m.name), "<init>");
     }
 
     #[test]
@@ -741,34 +767,34 @@ mod tests {
              }",
         )
         .unwrap();
-        let body = &unit.classes[0].methods[0].body;
-        let Stmt::While { checked, body, .. } = &body[2] else {
+        let Stmt::While { checked, body, .. } = body(&unit, 0)[2] else {
             panic!("expected while");
         };
         assert!(checked);
-        let Stmt::VarDecl { init: Some(e), .. } = &body[0] else {
+        let Stmt::VarDecl { init: Some(e), .. } = unit.stmt(unit.block(*body)[0]) else {
             panic!("expected var decl");
         };
-        let Expr::New { annotation, .. } = e else {
+        let ExprKind::New { annotation, .. } = unit.expr(*e).kind else {
             panic!("expected new");
         };
-        assert_eq!(*annotation, Some(AllocAnnotation::Leak));
+        assert_eq!(annotation, Some(AllocAnnotation::Leak));
     }
 
     #[test]
     fn parses_fp_annotation() {
         let unit =
             parse("class C { static void m() { C x = @fp(\"singleton\") new C(); } }").unwrap();
-        let Stmt::VarDecl { init: Some(e), .. } = &unit.classes[0].methods[0].body[0] else {
+        let Stmt::VarDecl { init: Some(e), .. } = body(&unit, 0)[0] else {
             panic!()
         };
-        let Expr::New { annotation, .. } = e else {
+        let ExprKind::New {
+            annotation: Some(AllocAnnotation::FalsePositive(reason)),
+            ..
+        } = unit.expr(*e).kind
+        else {
             panic!()
         };
-        assert_eq!(
-            *annotation,
-            Some(AllocAnnotation::FalsePositive("singleton".into()))
-        );
+        assert_eq!(unit.strings[reason as usize], "singleton");
     }
 
     #[test]
@@ -785,26 +811,28 @@ mod tests {
              }",
         )
         .unwrap();
-        let m = &unit.classes[0].methods[0];
-        assert_eq!(m.body.len(), 4);
-        let Stmt::Assign { target, .. } = &m.body[1] else {
+        let stmts = body(&unit, 0);
+        assert_eq!(stmts.len(), 4);
+        let Stmt::Assign { target, .. } = stmts[1] else {
             panic!()
         };
-        assert!(matches!(target, Expr::Index { .. }));
+        assert!(matches!(unit.expr(*target).kind, ExprKind::Index { .. }));
     }
 
     #[test]
     fn parses_operator_precedence() {
         let unit = parse("class C { static void m() { int x = 1 + 2 * 3; } }").unwrap();
-        let Stmt::VarDecl {
-            init: Some(Expr::Binary { op, rhs, .. }),
-            ..
-        } = &unit.classes[0].methods[0].body[0]
-        else {
+        let Stmt::VarDecl { init: Some(e), .. } = body(&unit, 0)[0] else {
             panic!()
         };
-        assert_eq!(*op, "+");
-        assert!(matches!(**rhs, Expr::Binary { op: "*", .. }));
+        let ExprKind::Binary { op, rhs, .. } = unit.expr(*e).kind else {
+            panic!()
+        };
+        assert_eq!(op, BinOp::Add);
+        assert!(matches!(
+            unit.expr(rhs).kind,
+            ExprKind::Binary { op: BinOp::Mul, .. }
+        ));
     }
 
     #[test]
@@ -820,17 +848,18 @@ mod tests {
              }",
         )
         .unwrap();
-        let m = &unit.classes[0].methods[1];
-        let Stmt::If { else_branch, .. } = &m.body[0] else {
+        let Stmt::If { else_branch, .. } = body(&unit, 1)[0] else {
             panic!()
         };
-        assert!(matches!(else_branch[0], Stmt::If { .. }));
+        let nested = unit.block(*else_branch);
+        assert_eq!(nested.len(), 1);
+        assert!(matches!(unit.stmt(nested[0]), Stmt::If { .. }));
     }
 
     #[test]
     fn parses_region_annotation() {
         let unit = parse("class P { @region void run() { } }").unwrap();
-        assert!(unit.classes[0].methods[0].is_region);
+        assert!(unit.methods[0].is_region);
     }
 
     #[test]
@@ -858,17 +887,93 @@ mod tests {
     #[test]
     fn field_initializers_parse() {
         let unit = parse("class C { C next = null; int n = 3; }").unwrap();
-        assert!(unit.classes[0].fields[0].init.is_some());
-        assert!(unit.classes[0].fields[1].init.is_some());
+        assert!(unit.fields[0].init.is_some());
+        assert!(unit.fields[1].init.is_some());
     }
 
     #[test]
     fn parses_logical_operators() {
         let unit = parse("class C { static void m(int a) { if (a < 1 && a > -5 || a == 3) { } } }")
             .unwrap();
-        let Stmt::If { cond, .. } = &unit.classes[0].methods[0].body[0] else {
+        let Stmt::If { cond, .. } = body(&unit, 0)[0] else {
             panic!()
         };
-        assert!(matches!(cond, Expr::Binary { op: "||", .. }));
+        assert!(matches!(
+            unit.expr(*cond).kind,
+            ExprKind::Binary { op: BinOp::Or, .. }
+        ));
+    }
+
+    /// `depth` levels of one nesting form around `x`, inside a method.
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!(
+            "class C {{ void m(int x) {{ {}x = 1;{} }} }}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_budget_admits_its_last_level_and_refuses_the_next() {
+        // The method body is one block, the statement's expression one
+        // more level.
+        let blocks = |d| nested("if (nondet()) { ", "} ", d);
+        assert!(parse(&blocks(MAX_NESTING as usize - 2)).is_ok());
+        let err = parse(&blocks(MAX_NESTING as usize - 1)).unwrap_err();
+        assert_eq!(err.phase, Phase::Parse);
+        assert!(err.message.contains("nests deeper than"), "{err}");
+
+        let parens = |d: usize| {
+            format!(
+                "class C {{ void m() {{ int x = {}1{}; }} }}",
+                "(".repeat(d),
+                ")".repeat(d)
+            )
+        };
+        assert!(parse(&parens(MAX_NESTING as usize - 2)).is_ok());
+        assert!(parse(&parens(MAX_NESTING as usize - 1)).is_err());
+
+        let unary = |d: usize| format!("class C {{ void m() {{ int x = {}1; }} }}", "-".repeat(d));
+        assert!(parse(&unary(MAX_NESTING as usize - 2)).is_ok());
+        assert!(parse(&unary(MAX_NESTING as usize - 1)).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_without_recursing_to_the_end() {
+        for source in [
+            format!(
+                "class C {{ void m() {{ int x = {}1{}; }} }}",
+                "(".repeat(100_000),
+                ")".repeat(100_000)
+            ),
+            format!(
+                "class C {{ void m() {{ int x = {}1; }} }}",
+                "!-".repeat(50_000)
+            ),
+            nested("while (nondet()) { ", "} ", 100_000),
+            nested("if (nondet()) { } else ", "", 100_000),
+            format!(
+                "class C {{ void m() {{ f({}1{}); }} }}",
+                "f(".repeat(100_000),
+                ")".repeat(100_000)
+            ),
+            format!(
+                "class C {{ void m() {{ int x = a{}; }} }}",
+                ".b".repeat(100_000)
+            ),
+        ] {
+            let err = parse(&source).unwrap_err();
+            assert!(err.message.contains("nests deeper than"), "{err}");
+        }
+    }
+
+    #[test]
+    fn flat_operator_chains_are_not_nesting() {
+        let sum = format!(
+            "class C {{ void m() {{ int x = 1{}; }} }}",
+            " + 1".repeat(100_000)
+        );
+        let unit = parse(&sum).unwrap();
+        assert_eq!(unit.exprs.len(), 200_001);
     }
 }

@@ -4,15 +4,22 @@
 //! and method signature so that bodies can reference entities in any order.
 //! The second pass lowers each method body to three-address statements,
 //! materializing compound expressions into compiler temporaries.
+//!
+//! Names resolve by [`Symbol`]: classes through a symbol-indexed table,
+//! locals through one symbol-indexed scope stack with an undo log, and
+//! fields and method signatures through `(class, symbol)` maps walked up
+//! the superclass chain. Signatures are borrowed, never copied.
 
-use crate::ast::{AllocAnnotation, ClassDecl, Expr, Stmt as AStmt, TypeName, Unit};
-use crate::error::{CompileError, Phase, Result, Span};
+use crate::ast::{
+    sym, AllocAnnotation, ClassDecl, ExprId, ExprKind, FxHashMap, List, Stmt as AStmt, StmtId,
+    Symbol, TypeName, Unit,
+};
+use crate::error::{CompileError, Phase, Result, TextRange};
 use leakchecker_ir::builder::{MethodBuilder, ProgramBuilder};
-use leakchecker_ir::ids::{ClassId, LocalId, LoopId, MethodId};
+use leakchecker_ir::ids::{ClassId, FieldId, LocalId, LoopId, MethodId};
 use leakchecker_ir::stmt::{BinOp, Cond, Operand, SiteLabel};
 use leakchecker_ir::types::Type;
 use leakchecker_ir::Program;
-use std::collections::HashMap;
 
 /// The result of compiling a unit: the IR program plus the analysis targets
 /// designated by source annotations.
@@ -33,18 +40,30 @@ pub struct CompiledUnit {
 ///
 /// Returns the first resolution error: unknown names, type mismatches,
 /// arity errors, duplicate declarations, inheritance cycles.
-pub fn lower(unit: &Unit) -> Result<CompiledUnit> {
-    let mut resolver = Resolver::default();
-    resolver.declare(unit)?;
-    resolver.lower_bodies(unit)
+pub fn lower(unit: &Unit<'_>) -> Result<CompiledUnit> {
+    let mut resolver = Resolver {
+        unit,
+        pb: ProgramBuilder::new(),
+        tables: Tables {
+            classes: vec![None; unit.names.len()],
+            ..Tables::default()
+        },
+        method_sigs: Vec::with_capacity(unit.methods.len()),
+        default_ctors: Vec::with_capacity(unit.classes.len()),
+        checked_loops: Vec::new(),
+        region_methods: Vec::new(),
+        entry: None,
+    };
+    resolver.declare()?;
+    resolver.lower_bodies()
 }
 
-fn err(span: Span, message: impl Into<String>) -> CompileError {
-    CompileError::new(Phase::Resolve, span, message)
+fn err(unit: &Unit<'_>, span: TextRange, message: impl Into<String>) -> CompileError {
+    CompileError::at(Phase::Resolve, unit.source, span, message)
 }
 
 /// Method signature recorded during the declaration pass.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Sig {
     id: MethodId,
     is_static: bool,
@@ -52,30 +71,79 @@ struct Sig {
     ret: Type,
 }
 
+/// What the declaration pass learns, read by every body.
 #[derive(Default)]
-struct Resolver {
+struct Tables {
+    /// Class of each symbol that names one.
+    classes: Vec<Option<ClassId>>,
+    /// Fields declared directly on a class.
+    fields: FxHashMap<(ClassId, Symbol), FieldId>,
+    /// Methods declared directly on a class, as indices into `sigs`.
+    methods: FxHashMap<(ClassId, Symbol), u32>,
+    sigs: Vec<Sig>,
+}
+
+impl Tables {
+    fn class(&self, name: Symbol) -> Option<ClassId> {
+        self.classes[name.index()]
+    }
+
+    fn declare_sig(&mut self, class: ClassId, name: Symbol, sig: Sig) -> u32 {
+        let index = self.sigs.len() as u32;
+        self.sigs.push(sig);
+        self.methods.insert((class, name), index);
+        index
+    }
+
+    /// Resolves a type name; an array of `void` is the caller's concern.
+    fn resolve_type(&self, unit: &Unit<'_>, name: &TypeName) -> Result<Type> {
+        let mut ty = match name.base {
+            sym::INT => Type::Int,
+            sym::BOOLEAN => Type::Bool,
+            sym::VOID => Type::Void,
+            other => Type::Ref(self.class(other).ok_or_else(|| {
+                err(
+                    unit,
+                    name.span,
+                    format!("unknown type `{}`", unit.name(other)),
+                )
+            })?),
+        };
+        for _ in 0..name.dims {
+            ty = ty.into_array();
+        }
+        Ok(ty)
+    }
+}
+
+struct Resolver<'u, 's> {
+    unit: &'u Unit<'s>,
     pb: ProgramBuilder,
-    class_ids: HashMap<String, ClassId>,
-    /// `(class, method-name) -> signature` for directly declared methods.
-    sigs: HashMap<(ClassId, String), Sig>,
+    tables: Tables,
+    /// Signature of each declared method, by its index in `unit.methods`.
+    method_sigs: Vec<u32>,
+    /// Signature of each class's synthesized constructor, if it has one.
+    default_ctors: Vec<Option<u32>>,
     checked_loops: Vec<LoopId>,
     region_methods: Vec<MethodId>,
     entry: Option<MethodId>,
 }
 
-impl Resolver {
+impl Resolver<'_, '_> {
     // ---------- pass 1: declarations ----------
 
-    fn declare(&mut self, unit: &Unit) -> Result<()> {
+    fn declare(&mut self) -> Result<()> {
+        let unit = self.unit;
         // The implicit root class is always in scope, with a synthesized
         // no-argument constructor so `new Object()` works.
         let object = self.pb.program().object_class();
-        self.class_ids.insert("Object".to_string(), object);
+        self.tables.classes[sym::OBJECT.index()] = Some(object);
         let mb = self.pb.method(object, "<init>", Type::Void, false);
         let object_init = mb.id();
         mb.finish();
-        self.sigs.insert(
-            (object, "<init>".to_string()),
+        self.tables.declare_sig(
+            object,
+            sym::INIT,
             Sig {
                 id: object_init,
                 is_static: false,
@@ -85,83 +153,93 @@ impl Resolver {
         );
         // Classes first (so `extends` can be forward).
         for class in &unit.classes {
-            if self.class_ids.contains_key(&class.name) || class.name == "Object" {
-                return Err(err(class.span, format!("duplicate class `{}`", class.name)));
+            let name = unit.name(class.name);
+            if self.tables.class(class.name).is_some() {
+                return Err(err(unit, class.span, format!("duplicate class `{name}`")));
             }
             let id = if class.is_library {
-                self.pb.add_library_class(&class.name, None)
+                self.pb.add_library_class(name, None)
             } else {
-                self.pb.add_class(&class.name, None)
+                self.pb.add_class(name, None)
             };
-            self.class_ids.insert(class.name.clone(), id);
+            self.tables.classes[class.name.index()] = Some(id);
         }
         // Superclasses.
         for class in &unit.classes {
-            if let Some(sup_name) = &class.superclass {
-                let sup = *self
-                    .class_ids
-                    .get(sup_name)
-                    .ok_or_else(|| err(class.span, format!("unknown superclass `{sup_name}`")))?;
-                let id = self.class_ids[&class.name];
-                // Rebuild the class entry with the right superclass: the
-                // builder fixed Object; patch through a fresh declaration
-                // is not possible, so we check for cycles and patch below.
+            if let Some(sup_name) = class.superclass {
+                let sup = self.tables.class(sup_name).ok_or_else(|| {
+                    err(
+                        unit,
+                        class.span,
+                        format!("unknown superclass `{}`", unit.name(sup_name)),
+                    )
+                })?;
+                let id = self.tables.class(class.name).expect("declared above");
                 self.set_superclass(id, sup, class.span)?;
             }
         }
         // Fields and method signatures.
         for class in &unit.classes {
-            let cid = self.class_ids[&class.name];
-            for field in &class.fields {
-                if self.pb.program().field_on(cid, &field.name).is_some() {
+            let cid = self.tables.class(class.name).expect("declared above");
+            let class_name = unit.name(class.name);
+            for field in unit.fields_of(class) {
+                if self.tables.fields.contains_key(&(cid, field.name)) {
                     return Err(err(
+                        unit,
                         field.span,
-                        format!("duplicate field `{}.{}`", class.name, field.name),
+                        format!("duplicate field `{class_name}.{}`", unit.name(field.name)),
                     ));
                 }
-                let ty = self.resolve_type(&field.ty)?;
+                let ty = self.declared_type(&field.ty)?;
                 if ty == Type::Void {
-                    return Err(err(field.span, "fields cannot have type `void`"));
+                    return Err(err(unit, field.span, "fields cannot have type `void`"));
                 }
                 if field.is_static && field.init.is_some() {
                     return Err(err(
+                        unit,
                         field.span,
                         "static fields cannot have initializers; assign in code instead",
                     ));
                 }
-                self.pb.add_field(cid, &field.name, ty, field.is_static);
+                let fid = self
+                    .pb
+                    .add_field(cid, unit.name(field.name), ty, field.is_static);
+                self.tables.fields.insert((cid, field.name), fid);
             }
             let mut has_ctor = false;
-            for method in &class.methods {
+            for method in unit.methods_of(class) {
                 if method.is_ctor {
                     if has_ctor {
                         return Err(err(
+                            unit,
                             method.span,
-                            format!("class `{}` declares multiple constructors", class.name),
+                            format!("class `{class_name}` declares multiple constructors"),
                         ));
                     }
                     has_ctor = true;
                 }
-                if self.sigs.contains_key(&(cid, method.name.clone())) {
+                let name = unit.name(method.name);
+                if self.tables.methods.contains_key(&(cid, method.name)) {
                     return Err(err(
+                        unit,
                         method.span,
-                        format!("duplicate method `{}.{}`", class.name, method.name),
+                        format!("duplicate method `{class_name}.{name}`"),
                     ));
                 }
-                let ret = self.resolve_type(&method.ret_ty)?;
+                let ret = self.declared_type(&method.ret_ty)?;
                 let mut params = Vec::new();
                 let mut param_decls: Vec<(&str, Type)> = Vec::new();
-                for p in &method.params {
-                    let ty = self.resolve_type(&p.ty)?;
+                for p in unit.params_of(method) {
+                    let ty = self.declared_type(&p.ty)?;
                     if ty == Type::Void {
-                        return Err(err(method.span, "parameters cannot have type `void`"));
+                        return Err(err(unit, method.span, "parameters cannot have type `void`"));
                     }
                     params.push(ty.clone());
-                    param_decls.push((&p.name, ty));
+                    param_decls.push((unit.name(p.name), ty));
                 }
                 let mb = self.pb.method_with_params(
                     cid,
-                    &method.name,
+                    name,
                     ret.clone(),
                     method.is_static,
                     &param_decls,
@@ -171,14 +249,19 @@ impl Resolver {
                 if method.is_region {
                     self.region_methods.push(id);
                 }
-                if method.name == "main" && method.is_static && params.is_empty() {
+                if method.name == sym::MAIN && method.is_static && params.is_empty() {
                     if self.entry.is_some() {
-                        return Err(err(method.span, "multiple `static main()` entry points"));
+                        return Err(err(
+                            unit,
+                            method.span,
+                            "multiple `static main()` entry points",
+                        ));
                     }
                     self.entry = Some(id);
                 }
-                self.sigs.insert(
-                    (cid, method.name.clone()),
+                let sig = self.tables.declare_sig(
+                    cid,
+                    method.name,
                     Sig {
                         id,
                         is_static: method.is_static,
@@ -186,35 +269,48 @@ impl Resolver {
                         ret,
                     },
                 );
+                self.method_sigs.push(sig);
             }
             // Synthesize a default constructor when none is declared, so
             // `new C()` always works and field initializers have a home.
-            if !has_ctor {
+            let default_ctor = (!has_ctor).then(|| {
                 let mb = self.pb.method(cid, "<init>", Type::Void, false);
                 let id = mb.id();
                 mb.finish();
-                self.sigs.insert(
-                    (cid, "<init>".to_string()),
+                self.tables.declare_sig(
+                    cid,
+                    sym::INIT,
                     Sig {
                         id,
                         is_static: false,
                         params: Vec::new(),
                         ret: Type::Void,
                     },
-                );
-            }
+                )
+            });
+            self.default_ctors.push(default_ctor);
         }
         Ok(())
     }
 
+    /// A declared field, parameter or return type: like a body's types,
+    /// but an array of `void` is refused.
+    fn declared_type(&self, name: &TypeName) -> Result<Type> {
+        let ty = self.tables.resolve_type(self.unit, name)?;
+        if name.dims > 0 && name.base == sym::VOID {
+            return Err(err(self.unit, name.span, "cannot form an array of `void`"));
+        }
+        Ok(ty)
+    }
+
     /// Patches the superclass of `class` (the builder defaulted to Object)
     /// and rejects inheritance cycles.
-    fn set_superclass(&mut self, class: ClassId, sup: ClassId, span: Span) -> Result<()> {
+    fn set_superclass(&mut self, class: ClassId, sup: ClassId, span: TextRange) -> Result<()> {
         // Cycle check: walk up from `sup`; if we reach `class`, reject.
         let mut cur = Some(sup);
         while let Some(c) = cur {
             if c == class {
-                return Err(err(span, "inheritance cycle"));
+                return Err(err(self.unit, span, "inheritance cycle"));
             }
             cur = self.pb.program().class(c).superclass;
         }
@@ -222,68 +318,53 @@ impl Resolver {
         Ok(())
     }
 
-    fn resolve_type(&self, name: &TypeName) -> Result<Type> {
-        let base = match name.base.as_str() {
-            "int" => Type::Int,
-            "boolean" => Type::Bool,
-            "void" => Type::Void,
-            other => Type::Ref(
-                *self
-                    .class_ids
-                    .get(other)
-                    .ok_or_else(|| err(name.span, format!("unknown type `{other}`")))?,
-            ),
-        };
-        if name.dims > 0 && base == Type::Void {
-            return Err(err(name.span, "cannot form an array of `void`"));
-        }
-        let mut ty = base;
-        for _ in 0..name.dims {
-            ty = ty.into_array();
-        }
-        Ok(ty)
-    }
-
     // ---------- pass 2: bodies ----------
 
-    fn lower_bodies(mut self, unit: &Unit) -> Result<CompiledUnit> {
-        for class in &unit.classes {
-            let cid = self.class_ids[&class.name];
-            let mut declared_ctor = false;
-            for method in &class.methods {
-                let sig = self.sigs[&(cid, method.name.clone())].clone();
-                declared_ctor |= method.is_ctor;
+    fn lower_bodies(mut self) -> Result<CompiledUnit> {
+        let unit = self.unit;
+        let mut scopes = Scopes::new(unit.names.len());
+        let mut spine = Vec::new();
+        let void = Type::Void;
+        let mut methods = self.method_sigs.iter();
+        for (class, default_ctor) in unit.classes.iter().zip(&self.default_ctors) {
+            let cid = self.tables.class(class.name).expect("declared in pass 1");
+            for method in unit.methods_of(class) {
+                let sig = &self.tables.sigs[*methods.next().expect("one sig per method") as usize];
                 let mut ctx = BodyCtx {
-                    class_ids: &self.class_ids,
-                    sigs: &self.sigs,
+                    unit,
+                    tables: &self.tables,
                     checked_loops: &mut self.checked_loops,
+                    scopes: &mut scopes,
+                    spine: &mut spine,
                     class: cid,
-                    ret: sig.ret.clone(),
+                    ret: &sig.ret,
                     mb: self.pb.resume_method(sig.id),
-                    scopes: vec![HashMap::new()],
                 };
                 // Bind parameters into the outer scope.
-                for (i, p) in method.params.iter().enumerate() {
+                ctx.scopes.push();
+                for (i, p) in unit.params_of(method).iter().enumerate() {
                     let local = ctx.mb.param(i);
-                    ctx.scopes[0].insert(p.name.clone(), local);
+                    ctx.scopes.bind(p.name, local);
                 }
                 if method.is_ctor {
                     ctx.emit_ctor_prologue(class)?;
                 }
-                ctx.lower_stmts(&method.body)?;
+                ctx.lower_stmts(method.body)?;
+                ctx.scopes.pop();
                 ctx.mb.finish();
             }
-            if !declared_ctor {
+            if let Some(sig) = default_ctor {
                 // Fill the synthesized default constructor.
-                let sig = self.sigs[&(cid, "<init>".to_string())].clone();
+                let sig = &self.tables.sigs[*sig as usize];
                 let mut ctx = BodyCtx {
-                    class_ids: &self.class_ids,
-                    sigs: &self.sigs,
+                    unit,
+                    tables: &self.tables,
                     checked_loops: &mut self.checked_loops,
+                    scopes: &mut scopes,
+                    spine: &mut spine,
                     class: cid,
-                    ret: Type::Void,
+                    ret: &void,
                     mb: self.pb.resume_method(sig.id),
-                    scopes: vec![HashMap::new()],
                 };
                 ctx.emit_ctor_prologue(class)?;
                 ctx.mb.finish();
@@ -301,22 +382,81 @@ impl Resolver {
     }
 }
 
-struct BodyCtx<'r> {
-    class_ids: &'r HashMap<String, ClassId>,
-    sigs: &'r HashMap<(ClassId, String), Sig>,
-    checked_loops: &'r mut Vec<LoopId>,
-    class: ClassId,
-    ret: Type,
-    mb: MethodBuilder<'r>,
-    scopes: Vec<HashMap<String, LocalId>>,
+/// A local binding and the scope depth that made it.
+#[derive(Copy, Clone)]
+struct Binding {
+    local: LocalId,
+    depth: u32,
 }
 
-impl BodyCtx<'_> {
-    fn lookup_local(&self, name: &str) -> Option<LocalId> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|scope| scope.get(name).copied())
+/// Lexical scopes as one table indexed by symbol: each symbol's
+/// innermost binding, plus an undo log that restores the shadowed
+/// bindings when a scope closes.
+struct Scopes {
+    bindings: Vec<Option<Binding>>,
+    undo: Vec<(Symbol, Option<Binding>)>,
+    /// Undo-log length at each open scope's start.
+    marks: Vec<usize>,
+}
+
+impl Scopes {
+    fn new(symbols: usize) -> Self {
+        Scopes {
+            bindings: vec![None; symbols],
+            undo: Vec::new(),
+            marks: Vec::new(),
+        }
+    }
+
+    fn push(&mut self) {
+        self.marks.push(self.undo.len());
+    }
+
+    fn pop(&mut self) {
+        let mark = self.marks.pop().expect("scope stack underflow");
+        for (name, shadowed) in self.undo.drain(mark..).rev() {
+            self.bindings[name.index()] = shadowed;
+        }
+    }
+
+    fn bind(&mut self, name: Symbol, local: LocalId) {
+        let slot = &mut self.bindings[name.index()];
+        self.undo.push((name, *slot));
+        *slot = Some(Binding {
+            local,
+            depth: self.marks.len() as u32,
+        });
+    }
+
+    fn lookup(&self, name: Symbol) -> Option<LocalId> {
+        self.bindings[name.index()].map(|b| b.local)
+    }
+
+    /// `true` when the innermost scope already binds `name`.
+    fn in_innermost(&self, name: Symbol) -> bool {
+        self.bindings[name.index()].is_some_and(|b| b.depth == self.marks.len() as u32)
+    }
+}
+
+struct BodyCtx<'r, 'u, 's> {
+    unit: &'u Unit<'s>,
+    tables: &'r Tables,
+    checked_loops: &'r mut Vec<LoopId>,
+    scopes: &'r mut Scopes,
+    /// Scratch stack for walking left spines of operator chains.
+    spine: &'r mut Vec<ExprId>,
+    class: ClassId,
+    ret: &'r Type,
+    mb: MethodBuilder<'r>,
+}
+
+impl<'r> BodyCtx<'r, '_, '_> {
+    fn err(&self, span: TextRange, message: impl Into<String>) -> CompileError {
+        err(self.unit, span, message)
+    }
+
+    fn name(&self, s: Symbol) -> &str {
+        self.unit.name(s)
     }
 
     fn local_type(&self, local: LocalId) -> Type {
@@ -325,12 +465,30 @@ impl BodyCtx<'_> {
             .clone()
     }
 
+    fn in_static_method(&self) -> bool {
+        self.mb.program().method(self.mb.id()).is_static
+    }
+
     /// Finds the signature of `name` on `class` or a superclass.
-    fn find_sig(&self, class: ClassId, name: &str) -> Option<Sig> {
-        let program = self.mb.program();
-        program
+    fn find_sig(&self, class: ClassId, name: Symbol) -> Option<&'r Sig> {
+        let tables = self.tables;
+        self.mb
+            .program()
             .ancestry(class)
-            .find_map(|c| self.sigs.get(&(c, name.to_string())).cloned())
+            .find_map(|c| tables.methods.get(&(c, name)))
+            .map(|&i| &tables.sigs[i as usize])
+    }
+
+    /// Resolves a field by name on `class` or a superclass.
+    fn resolve_field(&self, class: ClassId, name: Symbol) -> Option<FieldId> {
+        self.mb
+            .program()
+            .ancestry(class)
+            .find_map(|c| self.tables.fields.get(&(c, name)).copied())
+    }
+
+    fn class_name(&self, class: ClassId) -> &str {
+        &self.mb.program().class(class).name
     }
 
     fn emit_ctor_prologue(&mut self, class: &ClassDecl) -> Result<()> {
@@ -340,26 +498,22 @@ impl BodyCtx<'_> {
         let sup = program.class(class_id).superclass;
         if let Some(sup) = sup {
             if sup != program.object_class() {
-                if let Some(sig) = self.sigs.get(&(sup, "<init>".to_string())) {
+                if let Some(&sig) = self.tables.methods.get(&(sup, sym::INIT)) {
+                    let sig = &self.tables.sigs[sig as usize];
                     if sig.params.is_empty() {
-                        let target = sig.id;
                         let this = self.mb.this();
-                        self.mb.call_special(None, this, target, &[]);
+                        self.mb.call_special(None, this, sig.id, &[]);
                     }
                 }
             }
         }
         // Instance field initializers, in declaration order.
-        for field in &class.fields {
+        for field in self.unit.fields_of(class) {
             if field.is_static {
                 continue;
             }
-            if let Some(init) = &field.init {
-                let fid = self
-                    .mb
-                    .program()
-                    .field_on(class_id, &field.name)
-                    .expect("field declared in pass 1");
+            if let Some(init) = field.init {
+                let fid = self.tables.fields[&(class_id, field.name)];
                 let field_ty = self.mb.program().field(fid).ty.clone();
                 let value = self.lower_value_typed(init, &field_ty)?;
                 let this = self.mb.this();
@@ -369,43 +523,36 @@ impl BodyCtx<'_> {
         Ok(())
     }
 
-    fn lower_stmts(&mut self, stmts: &[AStmt]) -> Result<()> {
-        self.scopes.push(HashMap::new());
-        for stmt in stmts {
+    fn lower_stmts(&mut self, stmts: List) -> Result<()> {
+        self.scopes.push();
+        for &stmt in self.unit.block(stmts) {
             self.lower_stmt(stmt)?;
         }
         self.scopes.pop();
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &AStmt) -> Result<()> {
-        match stmt {
+    fn lower_stmt(&mut self, stmt: StmtId) -> Result<()> {
+        match *self.unit.stmt(stmt) {
             AStmt::VarDecl {
                 ty,
                 name,
                 init,
                 span,
             } => {
-                let ty = self.resolve_type(ty)?;
+                let ty = self.tables.resolve_type(self.unit, &ty)?;
                 if ty == Type::Void {
-                    return Err(err(*span, "variables cannot have type `void`"));
+                    return Err(self.err(span, "variables cannot have type `void`"));
                 }
-                if self
-                    .scopes
-                    .last()
-                    .is_some_and(|scope| scope.contains_key(name))
-                {
-                    return Err(err(*span, format!("duplicate variable `{name}`")));
+                if self.scopes.in_innermost(name) {
+                    return Err(self.err(span, format!("duplicate variable `{}`", self.name(name))));
                 }
-                let local = self.mb.local(name, ty.clone());
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack is never empty")
-                    .insert(name.clone(), local);
+                let local = self.mb.local(self.unit.name(name), ty.clone());
+                self.scopes.bind(name, local);
                 match init {
                     Some(e) => {
                         let vty = self.lower_into(local, e)?;
-                        self.check_assignable(&vty, &ty, e.span())?;
+                        self.check_assignable(&vty, &ty, self.unit.expr(e).span)?;
                     }
                     None => {
                         // Default-initialize so the interpreter never sees
@@ -423,15 +570,16 @@ impl BodyCtx<'_> {
                 target,
                 value,
                 span,
-            } => self.lower_assign(target, value, *span),
+            } => self.lower_assign(target, value, span),
             AStmt::Expr(e) => {
-                match e {
-                    Expr::Call { .. } | Expr::New { .. } | Expr::NewArray { .. } => {
+                let expr = self.unit.expr(e);
+                match expr.kind {
+                    ExprKind::Call { .. } | ExprKind::New { .. } | ExprKind::NewArray { .. } => {
                         let _ = self.lower_to_local(e)?;
                     }
-                    other => {
-                        return Err(err(
-                            other.span(),
+                    _ => {
+                        return Err(self.err(
+                            expr.span,
                             "only calls and allocations can be used as statements",
                         ))
                     }
@@ -442,18 +590,14 @@ impl BodyCtx<'_> {
                 cond,
                 then_branch,
                 else_branch,
-                ..
             } => {
                 let c = self.lower_cond(cond)?;
-                // Build branches with fresh scopes via the builder closures.
-                // The closure API needs `self` split; emulate by lowering
-                // into explicit frames.
-                self.begin_frame();
+                self.mb.begin_frame();
                 self.lower_stmts(then_branch)?;
-                let then_stmts = self.end_frame();
-                self.begin_frame();
+                let then_stmts = self.mb.end_frame();
+                self.mb.begin_frame();
                 self.lower_stmts(else_branch)?;
-                let else_stmts = self.end_frame();
+                let else_stmts = self.mb.end_frame();
                 self.mb.push_if(c, then_stmts, else_stmts);
                 Ok(())
             }
@@ -461,14 +605,13 @@ impl BodyCtx<'_> {
                 cond,
                 body,
                 checked,
-                ..
             } => {
                 // Conditions that read only named locals / constants can be
                 // used directly: each iteration re-reads the locals. Any
                 // other condition is lowered to a boolean flag that is
                 // computed before the loop and recomputed at the end of
                 // every iteration.
-                let (c, flag) = match self.try_direct_cond(cond)? {
+                let (c, flag) = match self.try_direct_cond(cond) {
                     Some(direct) => (direct, None),
                     None => {
                         let flag = self.mb.temp(Type::Bool);
@@ -476,40 +619,84 @@ impl BodyCtx<'_> {
                         (Cond::Local(flag), Some(flag))
                     }
                 };
-                self.begin_frame();
+                self.mb.begin_frame();
                 self.lower_stmts(body)?;
                 if let Some(flag) = flag {
                     self.lower_bool_into(flag, cond)?;
                 }
-                let body_stmts = self.end_frame();
+                let body_stmts = self.mb.end_frame();
                 let id = self.mb.push_while(c, body_stmts);
-                if *checked {
+                if checked {
                     self.checked_loops.push(id);
                 }
                 Ok(())
             }
             AStmt::Return(value, span) => {
-                match (value, self.ret.clone()) {
+                let ret = self.ret;
+                match (value, ret) {
                     (None, Type::Void) => self.mb.ret(None),
                     (Some(_), Type::Void) => {
-                        return Err(err(*span, "void method cannot return a value"))
+                        return Err(self.err(span, "void method cannot return a value"))
                     }
-                    (None, _) => return Err(err(*span, "missing return value")),
+                    (None, _) => return Err(self.err(span, "missing return value")),
                     (Some(e), ret_ty) => {
-                        let local = self.lower_value_typed(e, &ret_ty)?;
+                        let local = self.lower_value_typed(e, ret_ty)?;
                         self.mb.ret(Some(local));
                     }
                 }
                 Ok(())
             }
-            AStmt::Break(_) => {
+            AStmt::Break => {
                 self.mb.brk();
                 Ok(())
             }
-            AStmt::Continue(_) => {
+            AStmt::Continue => {
                 self.mb.cont();
                 Ok(())
             }
+        }
+    }
+
+    /// The local a bare name denotes, if `e` is one bound in scope.
+    fn named_local(&self, e: ExprId) -> Option<LocalId> {
+        match self.unit.expr(e).kind {
+            ExprKind::Name(n) => self.scopes.lookup(n),
+            _ => None,
+        }
+    }
+
+    /// `e` as an operand that needs no statements: an integer or boolean
+    /// literal, or a named local.
+    fn direct_operand(&self, e: ExprId) -> Option<(Operand, Type)> {
+        match self.unit.expr(e).kind {
+            ExprKind::Int(v) => Some((Operand::Const(v), Type::Int)),
+            ExprKind::Bool(b) => Some((Operand::Const(i64::from(b)), Type::Bool)),
+            ExprKind::Name(_) => {
+                let l = self.named_local(e)?;
+                Some((Operand::Local(l), self.local_type(l)))
+            }
+            _ => None,
+        }
+    }
+
+    /// The non-`null` side of `a == null` / `null != b`, if `e` is such
+    /// a comparison.
+    fn null_test(&self, e: ExprId) -> Option<(BinOp, ExprId)> {
+        let ExprKind::Binary {
+            op: op @ (BinOp::Eq | BinOp::Ne),
+            lhs,
+            rhs,
+        } = self.unit.expr(e).kind
+        else {
+            return None;
+        };
+        let is_null = |e: ExprId| matches!(self.unit.expr(e).kind, ExprKind::Null);
+        if is_null(lhs) {
+            Some((op, rhs))
+        } else if is_null(rhs) {
+            Some((op, lhs))
+        } else {
+            None
         }
     }
 
@@ -517,164 +704,83 @@ impl BodyCtx<'_> {
     /// and constants, so it can be re-evaluated by the loop header without
     /// auxiliary statements. Returns `None` when the condition needs
     /// lowering to a flag.
-    fn try_direct_cond(&mut self, cond: &Expr) -> Result<Option<Cond>> {
-        let named = |this: &Self, e: &Expr| -> Option<LocalId> {
-            if let Expr::Name(n, _) = e {
-                this.lookup_local(n)
-            } else {
-                None
+    fn try_direct_cond(&self, cond: ExprId) -> Option<Cond> {
+        match self.unit.expr(cond).kind {
+            ExprKind::NonDet => Some(Cond::NonDet),
+            ExprKind::Name(_) => {
+                let l = self.named_local(cond)?;
+                (self.local_type(l) == Type::Bool).then_some(Cond::Local(l))
             }
-        };
-        match cond {
-            Expr::NonDet(_) => Ok(Some(Cond::NonDet)),
-            Expr::Name(_, _) => {
-                if let Some(l) = named(self, cond) {
-                    if self.local_type(l) == Type::Bool {
-                        return Ok(Some(Cond::Local(l)));
-                    }
-                }
-                Ok(None)
+            ExprKind::Not(inner) => {
+                let l = self.named_local(inner)?;
+                (self.local_type(l) == Type::Bool).then_some(Cond::NotLocal(l))
             }
-            Expr::Not(inner, _) => {
-                if let Some(l) = named(self, inner) {
-                    if self.local_type(l) == Type::Bool {
-                        return Ok(Some(Cond::NotLocal(l)));
-                    }
-                }
-                Ok(None)
-            }
-            Expr::Binary { op, lhs, rhs, .. } => {
+            ExprKind::Binary { op, lhs, rhs } => {
                 // `x == null` / `x != null` on a named local.
-                if matches!(*op, "==" | "!=") {
-                    let (null_side, other) = match (&**lhs, &**rhs) {
-                        (Expr::Null(_), o) => (true, o),
-                        (o, Expr::Null(_)) => (true, o),
-                        _ => (false, &**lhs),
-                    };
-                    if null_side {
-                        if let Some(l) = named(self, other) {
-                            if self.local_type(l).is_reference() {
-                                return Ok(Some(if *op == "==" {
-                                    Cond::IsNull(l)
-                                } else {
-                                    Cond::NotNull(l)
-                                }));
-                            }
-                        }
-                        return Ok(None);
+                if let Some((op, other)) = self.null_test(cond) {
+                    let l = self.named_local(other)?;
+                    if !self.local_type(l).is_reference() {
+                        return None;
                     }
+                    return Some(if op == BinOp::Eq {
+                        Cond::IsNull(l)
+                    } else {
+                        Cond::NotNull(l)
+                    });
                 }
-                let as_operand = |this: &Self, e: &Expr| -> Option<(Operand, Type)> {
-                    match e {
-                        Expr::Int(v, _) => Some((Operand::Const(*v), Type::Int)),
-                        Expr::Bool(b, _) => Some((Operand::Const(i64::from(*b)), Type::Bool)),
-                        Expr::Name(_, _) => {
-                            let l = named(this, e)?;
-                            Some((Operand::Local(l), this.local_type(l)))
-                        }
-                        _ => None,
-                    }
-                };
-                let bop = binop_of(op);
-                if !(bop.is_comparison()) {
-                    return Ok(None);
+                if !op.is_comparison() {
+                    return None;
                 }
-                let (Some((l, lt)), Some((r, rt))) = (as_operand(self, lhs), as_operand(self, rhs))
-                else {
-                    return Ok(None);
-                };
-                let ok = match bop {
+                let (l, lt) = self.direct_operand(lhs)?;
+                let (r, rt) = self.direct_operand(rhs)?;
+                let ok = match op {
                     BinOp::Eq | BinOp::Ne => lt == rt && !lt.is_reference(),
                     _ => lt == Type::Int && rt == Type::Int,
                 };
-                if ok {
-                    Ok(Some(Cond::Cmp {
-                        op: bop,
-                        lhs: l,
-                        rhs: r,
-                    }))
-                } else {
-                    Ok(None)
-                }
+                ok.then_some(Cond::Cmp { op, lhs: l, rhs: r })
             }
-            _ => Ok(None),
+            _ => None,
         }
     }
 
     /// Lowers an arbitrary boolean expression into `flag`, handling
     /// reference-vs-null comparisons (which have no expression form in the
     /// IR) via a small `if`.
-    fn lower_bool_into(&mut self, flag: LocalId, e: &Expr) -> Result<()> {
-        if let Expr::Binary {
-            op: op @ ("==" | "!="),
-            lhs,
-            rhs,
-            ..
-        } = e
-        {
-            let null_test = match (&**lhs, &**rhs) {
-                (Expr::Null(_), other) | (other, Expr::Null(_)) => Some(other.clone()),
-                _ => None,
-            };
-            if let Some(other) = null_test {
-                let (local, ty) = self.lower_to_local(&other)?;
-                if !ty.is_reference() {
-                    return Err(err(other.span(), "`null` compared with a non-reference"));
-                }
-                let cond = if *op == "==" {
-                    Cond::IsNull(local)
-                } else {
-                    Cond::NotNull(local)
-                };
-                self.begin_frame();
-                self.mb.const_int(flag, 1);
-                let then_stmts = self.end_frame();
-                self.begin_frame();
-                self.mb.const_int(flag, 0);
-                let else_stmts = self.end_frame();
-                self.mb.push_if(cond, then_stmts, else_stmts);
-                return Ok(());
+    fn lower_bool_into(&mut self, flag: LocalId, e: ExprId) -> Result<()> {
+        if let Some((op, other)) = self.null_test(e) {
+            let (local, ty) = self.lower_to_local(other)?;
+            if !ty.is_reference() {
+                return Err(self.err(
+                    self.unit.expr(other).span,
+                    "`null` compared with a non-reference",
+                ));
             }
+            let cond = if op == BinOp::Eq {
+                Cond::IsNull(local)
+            } else {
+                Cond::NotNull(local)
+            };
+            self.mb.begin_frame();
+            self.mb.const_int(flag, 1);
+            let then_stmts = self.mb.end_frame();
+            self.mb.begin_frame();
+            self.mb.const_int(flag, 0);
+            let else_stmts = self.mb.end_frame();
+            self.mb.push_if(cond, then_stmts, else_stmts);
+            return Ok(());
         }
         let ty = self.lower_into(flag, e)?;
         if ty != Type::Bool {
-            return Err(err(e.span(), "condition must be `boolean`"));
+            return Err(self.err(self.unit.expr(e).span, "condition must be `boolean`"));
         }
         Ok(())
     }
 
-    fn begin_frame(&mut self) {
-        self.mb.begin_frame();
-    }
-
-    fn end_frame(&mut self) -> Vec<leakchecker_ir::stmt::Stmt> {
-        self.mb.end_frame()
-    }
-
-    fn resolve_type(&self, name: &TypeName) -> Result<Type> {
-        let base = match name.base.as_str() {
-            "int" => Type::Int,
-            "boolean" => Type::Bool,
-            "void" => Type::Void,
-            other => Type::Ref(
-                *self
-                    .class_ids
-                    .get(other)
-                    .ok_or_else(|| err(name.span, format!("unknown type `{other}`")))?,
-            ),
-        };
-        let mut ty = base;
-        for _ in 0..name.dims {
-            ty = ty.into_array();
-        }
-        Ok(ty)
-    }
-
-    fn check_assignable(&self, from: &Type, to: &Type, span: Span) -> Result<()> {
+    fn check_assignable(&self, from: &Type, to: &Type, span: TextRange) -> Result<()> {
         if self.assignable(from, to) {
             Ok(())
         } else {
-            Err(err(
+            Err(self.err(
                 span,
                 format!("type mismatch: cannot assign {from:?} to {to:?}"),
             ))
@@ -699,76 +805,70 @@ impl BodyCtx<'_> {
 
     /// Lowers `e` and stores the value into an existing local `dst`.
     /// Returns the value's type.
-    fn lower_into(&mut self, dst: LocalId, e: &Expr) -> Result<Type> {
-        match e {
-            Expr::Null(_) => {
-                self.mb.assign_null(dst);
-                Ok(self.local_type(dst))
-            }
-            _ => {
-                let (src, ty) = self.lower_to_local(e)?;
-                if src != dst {
-                    self.mb.assign(dst, src);
-                }
-                Ok(ty)
-            }
+    fn lower_into(&mut self, dst: LocalId, e: ExprId) -> Result<Type> {
+        if let ExprKind::Null = self.unit.expr(e).kind {
+            self.mb.assign_null(dst);
+            return Ok(self.local_type(dst));
         }
+        let (src, ty) = self.lower_to_local(e)?;
+        if src != dst {
+            self.mb.assign(dst, src);
+        }
+        Ok(ty)
     }
 
     /// Lowers `e` to an operand, short-cutting integer constants.
-    fn lower_to_operand(&mut self, e: &Expr) -> Result<(Operand, Type)> {
-        match e {
-            Expr::Int(v, _) => Ok((Operand::Const(*v), Type::Int)),
-            Expr::Bool(b, _) => Ok((Operand::Const(i64::from(*b)), Type::Bool)),
-            Expr::Neg(inner, _) => {
-                if let Expr::Int(v, _) = **inner {
+    fn lower_to_operand(&mut self, e: ExprId) -> Result<(Operand, Type)> {
+        match self.unit.expr(e).kind {
+            ExprKind::Int(v) => return Ok((Operand::Const(v), Type::Int)),
+            ExprKind::Bool(b) => return Ok((Operand::Const(i64::from(b)), Type::Bool)),
+            ExprKind::Neg(inner) => {
+                if let ExprKind::Int(v) = self.unit.expr(inner).kind {
                     return Ok((Operand::Const(-v), Type::Int));
                 }
-                let (local, ty) = self.lower_to_local(e)?;
-                Ok((Operand::Local(local), ty))
             }
-            _ => {
-                let (local, ty) = self.lower_to_local(e)?;
-                Ok((Operand::Local(local), ty))
-            }
+            _ => {}
         }
+        let (local, ty) = self.lower_to_local(e)?;
+        Ok((Operand::Local(local), ty))
     }
 
     /// Lowers `e` into a (possibly fresh) local, returning it and its type.
-    fn lower_to_local(&mut self, e: &Expr) -> Result<(LocalId, Type)> {
-        match e {
-            Expr::Null(span) => Err(err(
-                *span,
+    fn lower_to_local(&mut self, e: ExprId) -> Result<(LocalId, Type)> {
+        let span = self.unit.expr(e).span;
+        match self.unit.expr(e).kind {
+            ExprKind::Null => Err(self.err(
+                span,
                 "`null` needs a typed context (assign it to a variable or field)",
             )),
-            Expr::This(span) => {
-                if self.mb.program().method(self.mb.id()).is_static {
-                    return Err(err(*span, "`this` in a static method"));
+            ExprKind::This => {
+                if self.in_static_method() {
+                    return Err(self.err(span, "`this` in a static method"));
                 }
                 let this = self.mb.this();
                 Ok((this, Type::Ref(self.class)))
             }
-            Expr::Int(v, _) => {
+            ExprKind::Int(v) => {
                 let t = self.mb.temp(Type::Int);
-                self.mb.const_int(t, *v);
+                self.mb.const_int(t, v);
                 Ok((t, Type::Int))
             }
-            Expr::Bool(b, _) => {
+            ExprKind::Bool(b) => {
                 let t = self.mb.temp(Type::Bool);
-                self.mb.const_int(t, i64::from(*b));
+                self.mb.const_int(t, i64::from(b));
                 Ok((t, Type::Bool))
             }
-            Expr::NonDet(_) => {
+            ExprKind::NonDet => {
                 let t = self.mb.temp(Type::Bool);
                 self.mb.nondet_bool(t);
                 Ok((t, Type::Bool))
             }
-            Expr::Name(name, span) => {
-                if let Some(local) = self.lookup_local(name) {
+            ExprKind::Name(name) => {
+                if let Some(local) = self.scopes.lookup(name) {
                     return Ok((local, self.local_type(local)));
                 }
                 // Unqualified field access on `this` / the current class.
-                if let Some(fid) = self.mb.program().resolve_field(self.class, name) {
+                if let Some(fid) = self.resolve_field(self.class, name) {
                     let field = self.mb.program().field(fid);
                     let fty = field.ty.clone();
                     let is_static = field.is_static;
@@ -776,10 +876,10 @@ impl BodyCtx<'_> {
                     if is_static {
                         self.mb.static_load(t, fid);
                     } else {
-                        if self.mb.program().method(self.mb.id()).is_static {
-                            return Err(err(
-                                *span,
-                                format!("instance field `{name}` in a static method"),
+                        if self.in_static_method() {
+                            return Err(self.err(
+                                span,
+                                format!("instance field `{}` in a static method", self.name(name)),
                             ));
                         }
                         let this = self.mb.this();
@@ -787,20 +887,18 @@ impl BodyCtx<'_> {
                     }
                     return Ok((t, fty));
                 }
-                Err(err(*span, format!("unknown variable `{name}`")))
+                Err(self.err(span, format!("unknown variable `{}`", self.name(name))))
             }
-            Expr::Field { base, name, span } => {
+            ExprKind::Field { base, name } => {
                 // Static field: `ClassName.f`.
                 if let Some(cid) = self.class_name_of(base) {
-                    let fid = self
-                        .mb
-                        .program()
-                        .resolve_field(cid, name)
-                        .ok_or_else(|| err(*span, format!("unknown static field `{name}`")))?;
+                    let fid = self.resolve_field(cid, name).ok_or_else(|| {
+                        self.err(span, format!("unknown static field `{}`", self.name(name)))
+                    })?;
                     if !self.mb.program().field(fid).is_static {
-                        return Err(err(
-                            *span,
-                            format!("`{name}` is an instance field, not static"),
+                        return Err(self.err(
+                            span,
+                            format!("`{}` is an instance field, not static", self.name(name)),
                         ));
                     }
                     let fty = self.mb.program().field(fid).ty.clone();
@@ -811,19 +909,23 @@ impl BodyCtx<'_> {
                 let (base_local, base_ty) = self.lower_to_local(base)?;
                 match base_ty {
                     Type::Ref(cid) => {
-                        let fid = self.mb.program().resolve_field(cid, name).ok_or_else(|| {
-                            err(
-                                *span,
+                        let fid = self.resolve_field(cid, name).ok_or_else(|| {
+                            self.err(
+                                span,
                                 format!(
-                                    "no field `{name}` on `{}`",
-                                    self.mb.program().class(cid).name
+                                    "no field `{}` on `{}`",
+                                    self.name(name),
+                                    self.class_name(cid)
                                 ),
                             )
                         })?;
                         if self.mb.program().field(fid).is_static {
-                            return Err(err(
-                                *span,
-                                format!("`{name}` is static; access it via the class name"),
+                            return Err(self.err(
+                                span,
+                                format!(
+                                    "`{}` is static; access it via the class name",
+                                    self.name(name)
+                                ),
                             ));
                         }
                         let fty = self.mb.program().field(fid).ty.clone();
@@ -831,56 +933,53 @@ impl BodyCtx<'_> {
                         self.mb.load(t, base_local, fid);
                         Ok((t, fty))
                     }
-                    other => Err(err(*span, format!("field access on non-object {other:?}"))),
+                    other => Err(self.err(span, format!("field access on non-object {other:?}"))),
                 }
             }
-            Expr::Index { base, index, span } => {
+            ExprKind::Index { base, index } => {
                 let (base_local, base_ty) = self.lower_to_local(base)?;
                 let elem_ty = base_ty
                     .element()
-                    .ok_or_else(|| err(*span, "indexing a non-array"))?
+                    .ok_or_else(|| self.err(span, "indexing a non-array"))?
                     .clone();
                 let (idx, ity) = self.lower_to_operand(index)?;
                 if ity != Type::Int {
-                    return Err(err(index.span(), "array index must be `int`"));
+                    return Err(self.err(self.unit.expr(index).span, "array index must be `int`"));
                 }
                 let t = self.mb.temp(elem_ty.clone());
                 self.mb.array_load(t, base_local, idx);
                 Ok((t, elem_ty))
             }
-            Expr::Call {
-                base,
-                name,
-                args,
-                span,
-            } => self.lower_call(base.as_deref(), name, args, *span),
-            Expr::New {
+            ExprKind::Call { base, name, args } => self.lower_call(base, name, args, span),
+            ExprKind::New {
                 class,
                 args,
                 annotation,
-                span,
             } => {
-                let cid = *self
-                    .class_ids
-                    .get(class)
-                    .ok_or_else(|| err(*span, format!("unknown class `{class}`")))?;
-                let sig = self
-                    .find_sig(cid, "<init>")
-                    .ok_or_else(|| err(*span, format!("class `{class}` has no constructor")))?;
+                let cid = self.tables.class(class).ok_or_else(|| {
+                    self.err(span, format!("unknown class `{}`", self.name(class)))
+                })?;
+                let sig = self.find_sig(cid, sym::INIT).ok_or_else(|| {
+                    self.err(
+                        span,
+                        format!("class `{}` has no constructor", self.name(class)),
+                    )
+                })?;
+                let args = self.unit.args(args);
                 if sig.params.len() != args.len() {
-                    return Err(err(
-                        *span,
+                    return Err(self.err(
+                        span,
                         format!(
-                            "constructor of `{class}` takes {} argument(s), {} given",
+                            "constructor of `{}` takes {} argument(s), {} given",
+                            self.name(class),
                             sig.params.len(),
                             args.len()
                         ),
                     ));
                 }
-                let mut arg_locals = Vec::new();
-                for (a, pty) in args.iter().zip(&sig.params) {
-                    let local = self.lower_arg(a, pty)?;
-                    arg_locals.push(local);
+                let mut arg_locals = Vec::with_capacity(args.len());
+                for (&a, pty) in args.iter().zip(&sig.params) {
+                    arg_locals.push(self.lower_value_typed(a, pty)?);
                 }
                 let t = self.mb.temp(Type::Ref(cid));
                 self.apply_annotation(annotation);
@@ -888,76 +987,35 @@ impl BodyCtx<'_> {
                 self.mb.call_special(None, t, sig.id, &arg_locals);
                 Ok((t, Type::Ref(cid)))
             }
-            Expr::NewArray {
+            ExprKind::NewArray {
                 elem,
                 len,
                 annotation,
-                span: _,
             } => {
-                let elem_ty = self.resolve_type(elem)?;
+                let elem_ty = self.tables.resolve_type(self.unit, &elem)?;
                 let (len_op, lty) = self.lower_to_operand(len)?;
                 if lty != Type::Int {
-                    return Err(err(len.span(), "array length must be `int`"));
+                    return Err(self.err(self.unit.expr(len).span, "array length must be `int`"));
                 }
                 let t = self.mb.temp(elem_ty.clone().into_array());
                 self.apply_annotation(annotation);
                 self.mb.new_array(t, elem_ty.clone(), len_op);
                 Ok((t, elem_ty.into_array()))
             }
-            Expr::Binary { op, lhs, rhs, span } => {
-                let bop = binop_of(op);
-                let (l, lt) = self.lower_to_operand(lhs)?;
-                let (r, rt) = self.lower_to_operand(rhs)?;
-                let out_ty = match bop {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                        if lt != Type::Int || rt != Type::Int {
-                            return Err(err(*span, "arithmetic requires `int` operands"));
-                        }
-                        Type::Int
-                    }
-                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        if lt != Type::Int || rt != Type::Int {
-                            return Err(err(*span, "comparison requires `int` operands"));
-                        }
-                        Type::Bool
-                    }
-                    BinOp::Eq | BinOp::Ne => {
-                        if lt.is_reference() || rt.is_reference() {
-                            return Err(err(
-                                *span,
-                                "reference equality is only supported against `null` \
-                                 in conditions",
-                            ));
-                        }
-                        if lt != rt {
-                            return Err(err(*span, "equality requires same-typed operands"));
-                        }
-                        Type::Bool
-                    }
-                    BinOp::And | BinOp::Or => {
-                        if lt != Type::Bool || rt != Type::Bool {
-                            return Err(err(*span, "logical operators require `boolean`"));
-                        }
-                        Type::Bool
-                    }
-                };
-                let t = self.mb.temp(out_ty.clone());
-                self.mb.binop(t, bop, l, r);
-                Ok((t, out_ty))
-            }
-            Expr::Not(inner, span) => {
+            ExprKind::Binary { .. } => self.lower_binary(e),
+            ExprKind::Not(inner) => {
                 let (v, ty) = self.lower_to_operand(inner)?;
                 if ty != Type::Bool {
-                    return Err(err(*span, "`!` requires a `boolean`"));
+                    return Err(self.err(span, "`!` requires a `boolean`"));
                 }
                 let t = self.mb.temp(Type::Bool);
                 self.mb.binop(t, BinOp::Eq, v, Operand::Const(0));
                 Ok((t, Type::Bool))
             }
-            Expr::Neg(inner, span) => {
+            ExprKind::Neg(inner) => {
                 let (v, ty) = self.lower_to_operand(inner)?;
                 if ty != Type::Int {
-                    return Err(err(*span, "unary `-` requires an `int`"));
+                    return Err(self.err(span, "unary `-` requires an `int`"));
                 }
                 let t = self.mb.temp(Type::Int);
                 self.mb.binop(t, BinOp::Sub, Operand::Const(0), v);
@@ -966,49 +1024,108 @@ impl BodyCtx<'_> {
         }
     }
 
-    fn apply_annotation(&mut self, annotation: &Option<AllocAnnotation>) {
+    /// Lowers a binary expression. Operator chains are left-deep
+    /// (`1 + 1 + … + 1` nests its first operand deepest), so the left
+    /// spine is walked down to its first non-binary operand and lowered
+    /// back up in a loop: the statements and temporaries are those of
+    /// the recursive definition, and the chain's length costs no stack.
+    fn lower_binary(&mut self, e: ExprId) -> Result<(LocalId, Type)> {
+        let mark = self.spine.len();
+        let mut first = e;
+        while let ExprKind::Binary { lhs, .. } = self.unit.expr(first).kind {
+            self.spine.push(first);
+            first = lhs;
+        }
+        let top = self.spine.len();
+        let (mut acc, mut acc_ty) = self.lower_to_operand(first)?;
+        for k in (mark..top).rev() {
+            let node = self.unit.expr(self.spine[k]);
+            let ExprKind::Binary { op, rhs, .. } = node.kind else {
+                unreachable!("the spine holds binary nodes")
+            };
+            let (r, rt) = self.lower_to_operand(rhs)?;
+            let out_ty = self.binary_type(op, &acc_ty, &rt, node.span)?;
+            let t = self.mb.temp(out_ty.clone());
+            self.mb.binop(t, op, acc, r);
+            acc = Operand::Local(t);
+            acc_ty = out_ty;
+        }
+        self.spine.truncate(mark);
+        let Operand::Local(t) = acc else {
+            unreachable!("a binary node lowers to a temporary")
+        };
+        Ok((t, acc_ty))
+    }
+
+    /// The result type of `l OP r`, or the type error.
+    fn binary_type(&self, op: BinOp, lt: &Type, rt: &Type, span: TextRange) -> Result<Type> {
+        match op {
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
+                if *lt != Type::Int || *rt != Type::Int {
+                    return Err(self.err(span, "arithmetic requires `int` operands"));
+                }
+                Ok(Type::Int)
+            }
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                if *lt != Type::Int || *rt != Type::Int {
+                    return Err(self.err(span, "comparison requires `int` operands"));
+                }
+                Ok(Type::Bool)
+            }
+            BinOp::Eq | BinOp::Ne => {
+                if lt.is_reference() || rt.is_reference() {
+                    return Err(self.err(
+                        span,
+                        "reference equality is only supported against `null` \
+                         in conditions",
+                    ));
+                }
+                if lt != rt {
+                    return Err(self.err(span, "equality requires same-typed operands"));
+                }
+                Ok(Type::Bool)
+            }
+            BinOp::And | BinOp::Or => {
+                if *lt != Type::Bool || *rt != Type::Bool {
+                    return Err(self.err(span, "logical operators require `boolean`"));
+                }
+                Ok(Type::Bool)
+            }
+        }
+    }
+
+    fn apply_annotation(&mut self, annotation: Option<AllocAnnotation>) {
         match annotation {
             Some(AllocAnnotation::Leak) => self.mb.label_next(SiteLabel::Leak),
-            Some(AllocAnnotation::FalsePositive(why)) => {
-                self.mb.label_next(SiteLabel::FalsePositive(why.clone()))
-            }
+            Some(AllocAnnotation::FalsePositive(why)) => self.mb.label_next(
+                SiteLabel::FalsePositive(self.unit.strings[why as usize].clone()),
+            ),
             None => {}
         }
     }
 
-    /// Lowers an argument expression, giving `null` the parameter's type.
-    fn lower_arg(&mut self, e: &Expr, pty: &Type) -> Result<LocalId> {
-        if matches!(e, Expr::Null(_)) {
-            let t = self.mb.temp(pty.clone());
-            self.mb.assign_null(t);
-            return Ok(t);
-        }
-        let (local, ty) = self.lower_to_local(e)?;
-        self.check_assignable(&ty, pty, e.span())?;
-        Ok(local)
-    }
-
     fn lower_call(
         &mut self,
-        base: Option<&Expr>,
-        name: &str,
-        args: &[Expr],
-        span: Span,
+        base: Option<ExprId>,
+        name: Symbol,
+        args: List,
+        span: TextRange,
     ) -> Result<(LocalId, Type)> {
+        let text = self.unit.name(name);
         // Resolve the receiver and the target signature.
-        let (receiver, sig): (Option<LocalId>, Sig) = match base {
+        let (receiver, sig): (Option<LocalId>, &'r Sig) = match base {
             None => {
                 // Unqualified: method of the current class (or supers).
                 let sig = self
                     .find_sig(self.class, name)
-                    .ok_or_else(|| err(span, format!("unknown method `{name}`")))?;
+                    .ok_or_else(|| self.err(span, format!("unknown method `{text}`")))?;
                 if sig.is_static {
                     (None, sig)
                 } else {
-                    if self.mb.program().method(self.mb.id()).is_static {
-                        return Err(err(
+                    if self.in_static_method() {
+                        return Err(self.err(
                             span,
-                            format!("instance method `{name}` called from a static method"),
+                            format!("instance method `{text}` called from a static method"),
                         ));
                     }
                     (Some(self.mb.this()), sig)
@@ -1017,18 +1134,15 @@ impl BodyCtx<'_> {
             Some(b) => {
                 if let Some(cid) = self.class_name_of(b) {
                     let sig = self.find_sig(cid, name).ok_or_else(|| {
-                        err(
+                        self.err(
                             span,
-                            format!(
-                                "no method `{name}` on class `{}`",
-                                self.mb.program().class(cid).name
-                            ),
+                            format!("no method `{text}` on class `{}`", self.class_name(cid)),
                         )
                     })?;
                     if !sig.is_static {
-                        return Err(err(
+                        return Err(self.err(
                             span,
-                            format!("`{name}` is an instance method; call it on an object"),
+                            format!("`{text}` is an instance method; call it on an object"),
                         ));
                     }
                     (None, sig)
@@ -1037,47 +1151,43 @@ impl BodyCtx<'_> {
                     let cid = match rty {
                         Type::Ref(c) => c,
                         other => {
-                            return Err(err(span, format!("method call on non-object {other:?}")))
+                            return Err(
+                                self.err(span, format!("method call on non-object {other:?}"))
+                            )
                         }
                     };
                     let sig = self.find_sig(cid, name).ok_or_else(|| {
-                        err(
+                        self.err(
                             span,
-                            format!(
-                                "no method `{name}` on `{}`",
-                                self.mb.program().class(cid).name
-                            ),
+                            format!("no method `{text}` on `{}`", self.class_name(cid)),
                         )
                     })?;
                     if sig.is_static {
-                        return Err(err(
+                        return Err(self.err(
                             span,
-                            format!("`{name}` is static; call it via the class name"),
+                            format!("`{text}` is static; call it via the class name"),
                         ));
                     }
                     (Some(recv), sig)
                 }
             }
         };
+        let args = self.unit.args(args);
         if sig.params.len() != args.len() {
-            return Err(err(
+            return Err(self.err(
                 span,
                 format!(
-                    "`{name}` takes {} argument(s), {} given",
+                    "`{text}` takes {} argument(s), {} given",
                     sig.params.len(),
                     args.len()
                 ),
             ));
         }
-        let mut arg_locals = Vec::new();
-        for (a, pty) in args.iter().zip(&sig.params) {
-            arg_locals.push(self.lower_arg(a, pty)?);
+        let mut arg_locals = Vec::with_capacity(args.len());
+        for (&a, pty) in args.iter().zip(&sig.params) {
+            arg_locals.push(self.lower_value_typed(a, pty)?);
         }
-        let (dst, out_ty) = if sig.ret == Type::Void {
-            (None, Type::Void)
-        } else {
-            (Some(self.mb.temp(sig.ret.clone())), sig.ret.clone())
-        };
+        let dst = (sig.ret != Type::Void).then(|| self.mb.temp(sig.ret.clone()));
         match receiver {
             Some(recv) => {
                 self.mb.call_virtual(dst, recv, sig.id, &arg_locals);
@@ -1087,7 +1197,7 @@ impl BodyCtx<'_> {
             }
         }
         match dst {
-            Some(d) => Ok((d, out_ty)),
+            Some(d) => Ok((d, sig.ret.clone())),
             None => {
                 // Void calls used in statement position: return a dummy.
                 let t = self.mb.temp(Type::Int);
@@ -1099,30 +1209,30 @@ impl BodyCtx<'_> {
 
     /// If `e` is a bare name that denotes a class (and is not shadowed by a
     /// local variable), returns the class id.
-    fn class_name_of(&self, e: &Expr) -> Option<ClassId> {
-        match e {
-            Expr::Name(name, _) if self.lookup_local(name).is_none() => {
-                self.class_ids.get(name).copied()
-            }
+    fn class_name_of(&self, e: ExprId) -> Option<ClassId> {
+        match self.unit.expr(e).kind {
+            ExprKind::Name(name) if self.scopes.lookup(name).is_none() => self.tables.class(name),
             _ => None,
         }
     }
 
     // ---------- assignments ----------
 
-    fn lower_assign(&mut self, target: &Expr, value: &Expr, span: Span) -> Result<()> {
-        match target {
-            Expr::Name(name, nspan) => {
-                if let Some(local) = self.lookup_local(name) {
+    fn lower_assign(&mut self, target: ExprId, value: ExprId, span: TextRange) -> Result<()> {
+        let target_span = self.unit.expr(target).span;
+        match self.unit.expr(target).kind {
+            ExprKind::Name(name) => {
+                if let Some(local) = self.scopes.lookup(name) {
                     let lty = self.local_type(local);
                     let vty = self.lower_into(local, value)?;
-                    if !matches!(value, Expr::Null(_)) {
-                        self.check_assignable(&vty, &lty, value.span())?;
+                    let value = self.unit.expr(value);
+                    if !matches!(value.kind, ExprKind::Null) {
+                        self.check_assignable(&vty, &lty, value.span)?;
                     }
                     return Ok(());
                 }
                 // Unqualified field assignment.
-                if let Some(fid) = self.mb.program().resolve_field(self.class, name) {
+                if let Some(fid) = self.resolve_field(self.class, name) {
                     let field = self.mb.program().field(fid);
                     let fty = field.ty.clone();
                     let is_static = field.is_static;
@@ -1130,10 +1240,10 @@ impl BodyCtx<'_> {
                     if is_static {
                         self.mb.static_store(fid, v);
                     } else {
-                        if self.mb.program().method(self.mb.id()).is_static {
-                            return Err(err(
-                                *nspan,
-                                format!("instance field `{name}` in a static method"),
+                        if self.in_static_method() {
+                            return Err(self.err(
+                                target_span,
+                                format!("instance field `{}` in a static method", self.name(name)),
                             ));
                         }
                         let this = self.mb.this();
@@ -1141,21 +1251,23 @@ impl BodyCtx<'_> {
                     }
                     return Ok(());
                 }
-                Err(err(*nspan, format!("unknown variable `{name}`")))
+                Err(self.err(
+                    target_span,
+                    format!("unknown variable `{}`", self.name(name)),
+                ))
             }
-            Expr::Field {
-                base,
-                name,
-                span: fspan,
-            } => {
+            ExprKind::Field { base, name } => {
                 if let Some(cid) = self.class_name_of(base) {
-                    let fid = self
-                        .mb
-                        .program()
-                        .resolve_field(cid, name)
-                        .ok_or_else(|| err(*fspan, format!("unknown static field `{name}`")))?;
+                    let fid = self.resolve_field(cid, name).ok_or_else(|| {
+                        self.err(
+                            target_span,
+                            format!("unknown static field `{}`", self.name(name)),
+                        )
+                    })?;
                     if !self.mb.program().field(fid).is_static {
-                        return Err(err(*fspan, format!("`{name}` is not static")));
+                        return Err(
+                            self.err(target_span, format!("`{}` is not static", self.name(name)))
+                        );
                     }
                     let fty = self.mb.program().field(fid).ty.clone();
                     let v = self.lower_value_typed(value, &fty)?;
@@ -1165,171 +1277,117 @@ impl BodyCtx<'_> {
                 let (base_local, base_ty) = self.lower_to_local(base)?;
                 let cid = base_ty
                     .class()
-                    .ok_or_else(|| err(*fspan, "field store on non-object"))?;
-                let fid = self.mb.program().resolve_field(cid, name).ok_or_else(|| {
-                    err(
-                        *fspan,
+                    .ok_or_else(|| self.err(target_span, "field store on non-object"))?;
+                let fid = self.resolve_field(cid, name).ok_or_else(|| {
+                    self.err(
+                        target_span,
                         format!(
-                            "no field `{name}` on `{}`",
-                            self.mb.program().class(cid).name
+                            "no field `{}` on `{}`",
+                            self.name(name),
+                            self.class_name(cid)
                         ),
                     )
                 })?;
                 if self.mb.program().field(fid).is_static {
-                    return Err(err(*fspan, format!("`{name}` is static")));
+                    return Err(self.err(target_span, format!("`{}` is static", self.name(name))));
                 }
                 let fty = self.mb.program().field(fid).ty.clone();
                 let v = self.lower_value_typed(value, &fty)?;
                 self.mb.store(base_local, fid, v);
                 Ok(())
             }
-            Expr::Index {
-                base,
-                index,
-                span: ispan,
-            } => {
+            ExprKind::Index { base, index } => {
                 let (base_local, base_ty) = self.lower_to_local(base)?;
                 let elem_ty = base_ty
                     .element()
-                    .ok_or_else(|| err(*ispan, "indexing a non-array"))?
+                    .ok_or_else(|| self.err(target_span, "indexing a non-array"))?
                     .clone();
                 let (idx, ity) = self.lower_to_operand(index)?;
                 if ity != Type::Int {
-                    return Err(err(index.span(), "array index must be `int`"));
+                    return Err(self.err(self.unit.expr(index).span, "array index must be `int`"));
                 }
                 let v = self.lower_value_typed(value, &elem_ty)?;
                 self.mb.array_store(base_local, idx, v);
                 Ok(())
             }
-            other => Err(err(span.max_or(other.span()), "invalid assignment target")),
+            _ => Err(self.err(span, "invalid assignment target")),
         }
     }
 
     /// Lowers `value` with an expected type (so `null` works), checking
-    /// assignability.
-    fn lower_value_typed(&mut self, value: &Expr, expected: &Type) -> Result<LocalId> {
-        if matches!(value, Expr::Null(_)) {
+    /// assignability: initializers, arguments, returns and stores.
+    fn lower_value_typed(&mut self, value: ExprId, expected: &Type) -> Result<LocalId> {
+        let expr = self.unit.expr(value);
+        if let ExprKind::Null = expr.kind {
             let t = self.mb.temp(expected.clone());
             self.mb.assign_null(t);
             return Ok(t);
         }
         let (v, vty) = self.lower_to_local(value)?;
-        self.check_assignable(&vty, expected, value.span())?;
+        self.check_assignable(&vty, expected, expr.span)?;
         Ok(v)
     }
 
     // ---------- conditions ----------
 
-    fn lower_cond(&mut self, cond: &Expr) -> Result<Cond> {
-        match cond {
-            Expr::NonDet(_) => Ok(Cond::NonDet),
-            Expr::Binary {
-                op: op @ ("==" | "!="),
-                lhs,
-                rhs,
-                ..
-            } => {
-                // Reference comparisons against null become IsNull/NotNull.
-                let null_side = match (&**lhs, &**rhs) {
-                    (Expr::Null(_), other) | (other, Expr::Null(_)) => Some(other.clone()),
-                    _ => None,
-                };
-                if let Some(other) = null_side {
-                    let (local, ty) = self.lower_to_local(&other)?;
-                    if !ty.is_reference() {
-                        return Err(err(other.span(), "`null` compared with a non-reference"));
-                    }
-                    return Ok(if *op == "==" {
-                        Cond::IsNull(local)
-                    } else {
-                        Cond::NotNull(local)
-                    });
-                }
-                self.lower_cmp_cond(cond)
+    fn lower_cond(&mut self, cond: ExprId) -> Result<Cond> {
+        // Reference comparisons against null become IsNull/NotNull.
+        if let Some((op, other)) = self.null_test(cond) {
+            let (local, ty) = self.lower_to_local(other)?;
+            if !ty.is_reference() {
+                return Err(self.err(
+                    self.unit.expr(other).span,
+                    "`null` compared with a non-reference",
+                ));
             }
-            Expr::Binary {
-                op: "<" | "<=" | ">" | ">=",
-                ..
-            } => self.lower_cmp_cond(cond),
-            Expr::Not(inner, _) => {
+            return Ok(if op == BinOp::Eq {
+                Cond::IsNull(local)
+            } else {
+                Cond::NotNull(local)
+            });
+        }
+        let expr = self.unit.expr(cond);
+        match expr.kind {
+            ExprKind::NonDet => Ok(Cond::NonDet),
+            ExprKind::Binary { op, lhs, rhs } if op.is_comparison() => {
+                let (l, lt) = self.lower_to_operand(lhs)?;
+                let (r, rt) = self.lower_to_operand(rhs)?;
+                match op {
+                    BinOp::Eq | BinOp::Ne => {
+                        if lt != rt {
+                            return Err(
+                                self.err(expr.span, "equality requires same-typed operands")
+                            );
+                        }
+                        if lt.is_reference() {
+                            return Err(self.err(
+                                expr.span,
+                                "reference equality is only supported against `null`",
+                            ));
+                        }
+                    }
+                    _ => {
+                        if lt != Type::Int || rt != Type::Int {
+                            return Err(self.err(expr.span, "comparison requires `int` operands"));
+                        }
+                    }
+                }
+                Ok(Cond::Cmp { op, lhs: l, rhs: r })
+            }
+            ExprKind::Not(inner) => {
                 let (local, ty) = self.lower_to_local(inner)?;
                 if ty != Type::Bool {
-                    return Err(err(inner.span(), "`!` requires a `boolean`"));
+                    return Err(self.err(self.unit.expr(inner).span, "`!` requires a `boolean`"));
                 }
                 Ok(Cond::NotLocal(local))
             }
-            other => {
-                let (local, ty) = self.lower_to_local(other)?;
+            _ => {
+                let (local, ty) = self.lower_to_local(cond)?;
                 if ty != Type::Bool {
-                    return Err(err(other.span(), "condition must be `boolean`"));
+                    return Err(self.err(expr.span, "condition must be `boolean`"));
                 }
                 Ok(Cond::Local(local))
             }
         }
-    }
-
-    fn lower_cmp_cond(&mut self, cond: &Expr) -> Result<Cond> {
-        let Expr::Binary { op, lhs, rhs, span } = cond else {
-            unreachable!("caller checked")
-        };
-        let (l, lt) = self.lower_to_operand(lhs)?;
-        let (r, rt) = self.lower_to_operand(rhs)?;
-        let bop = binop_of(op);
-        match bop {
-            BinOp::Eq | BinOp::Ne => {
-                if lt != rt {
-                    return Err(err(*span, "equality requires same-typed operands"));
-                }
-                if lt.is_reference() {
-                    return Err(err(
-                        *span,
-                        "reference equality is only supported against `null`",
-                    ));
-                }
-            }
-            _ => {
-                if lt != Type::Int || rt != Type::Int {
-                    return Err(err(*span, "comparison requires `int` operands"));
-                }
-            }
-        }
-        Ok(Cond::Cmp {
-            op: bop,
-            lhs: l,
-            rhs: r,
-        })
-    }
-}
-
-trait SpanExt {
-    fn max_or(self, other: Span) -> Span;
-}
-
-impl SpanExt for Span {
-    fn max_or(self, other: Span) -> Span {
-        if self == Span::default() {
-            other
-        } else {
-            self
-        }
-    }
-}
-
-fn binop_of(op: &str) -> BinOp {
-    match op {
-        "+" => BinOp::Add,
-        "-" => BinOp::Sub,
-        "*" => BinOp::Mul,
-        "/" => BinOp::Div,
-        "%" => BinOp::Rem,
-        "<" => BinOp::Lt,
-        "<=" => BinOp::Le,
-        ">" => BinOp::Gt,
-        ">=" => BinOp::Ge,
-        "==" => BinOp::Eq,
-        "!=" => BinOp::Ne,
-        "&&" => BinOp::And,
-        "||" => BinOp::Or,
-        other => unreachable!("parser produced unknown operator {other}"),
     }
 }

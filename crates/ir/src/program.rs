@@ -4,6 +4,7 @@ use crate::ids::{AllocSite, CallSite, ClassId, FieldId, LocalId, LoopId, MethodI
 use crate::stmt::{SiteLabel, Stmt};
 use crate::types::Type;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A class declaration.
 #[derive(Clone, Debug)]
@@ -127,16 +128,19 @@ pub struct LoopInfo {
 ///
 /// Programs are immutable once built (via
 /// [`ProgramBuilder`](crate::builder::ProgramBuilder) or the frontend);
-/// analyses treat them as shared read-only input.
+/// analyses treat them as shared read-only input. Each table sits behind
+/// an [`Arc`], so cloning a program is O(1) and shares every table; the
+/// builder's mutators copy a table only when it is shared (copy on
+/// write), as when a region's driver is added to a clone.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
-    classes: Vec<Class>,
-    fields: Vec<Field>,
-    methods: Vec<Method>,
-    allocs: Vec<AllocInfo>,
-    calls: Vec<CallInfo>,
-    loops: Vec<LoopInfo>,
-    class_by_name: HashMap<String, ClassId>,
+    classes: Arc<Vec<Class>>,
+    fields: Arc<Vec<Field>>,
+    methods: Arc<Vec<Method>>,
+    allocs: Arc<Vec<AllocInfo>>,
+    calls: Arc<Vec<CallInfo>>,
+    loops: Arc<Vec<LoopInfo>>,
+    class_by_name: Arc<HashMap<String, ClassId>>,
     entry: Option<MethodId>,
 }
 
@@ -145,7 +149,7 @@ impl Program {
     /// and the array-element pseudo-field.
     pub fn new() -> Self {
         let mut p = Program::default();
-        p.fields.push(Field {
+        Arc::make_mut(&mut p.fields).push(Field {
             name: "elem".to_string(),
             owner: None,
             ty: Type::Ref(ClassId(0)),
@@ -336,51 +340,51 @@ impl Program {
 
     pub(crate) fn push_class(&mut self, class: Class) -> ClassId {
         let id = ClassId::from_index(self.classes.len());
-        self.class_by_name.insert(class.name.clone(), id);
-        self.classes.push(class);
+        Arc::make_mut(&mut self.class_by_name).insert(class.name.clone(), id);
+        Arc::make_mut(&mut self.classes).push(class);
         id
     }
 
     pub(crate) fn push_field(&mut self, field: Field) -> FieldId {
         let id = FieldId::from_index(self.fields.len());
         if let Some(owner) = field.owner {
-            self.classes[owner.index()].fields.push(id);
+            self.class_mut(owner).fields.push(id);
         }
-        self.fields.push(field);
+        Arc::make_mut(&mut self.fields).push(field);
         id
     }
 
     pub(crate) fn push_method(&mut self, method: Method) -> MethodId {
         let id = MethodId::from_index(self.methods.len());
-        self.classes[method.owner.index()].methods.push(id);
-        self.methods.push(method);
+        self.class_mut(method.owner).methods.push(id);
+        Arc::make_mut(&mut self.methods).push(method);
         id
     }
 
     pub(crate) fn push_alloc(&mut self, info: AllocInfo) -> AllocSite {
         let id = AllocSite::from_index(self.allocs.len());
-        self.allocs.push(info);
+        Arc::make_mut(&mut self.allocs).push(info);
         id
     }
 
     pub(crate) fn push_call(&mut self, info: CallInfo) -> CallSite {
         let id = CallSite::from_index(self.calls.len());
-        self.calls.push(info);
+        Arc::make_mut(&mut self.calls).push(info);
         id
     }
 
     pub(crate) fn push_loop(&mut self, info: LoopInfo) -> LoopId {
         let id = LoopId::from_index(self.loops.len());
-        self.loops.push(info);
+        Arc::make_mut(&mut self.loops).push(info);
         id
     }
 
     pub(crate) fn class_mut(&mut self, id: ClassId) -> &mut Class {
-        &mut self.classes[id.index()]
+        &mut Arc::make_mut(&mut self.classes)[id.index()]
     }
 
     pub(crate) fn method_mut(&mut self, id: MethodId) -> &mut Method {
-        &mut self.methods[id.index()]
+        &mut Arc::make_mut(&mut self.methods)[id.index()]
     }
 
     /// Total number of simple (non-control) statements across all method
@@ -484,6 +488,22 @@ mod tests {
         assert!(p.method_by_path("Dog.bark").is_none());
         assert!(p.method_by_path("Cat.speak").is_none());
         assert!(p.method_by_path("nodot").is_none());
+    }
+
+    #[test]
+    fn clones_share_tables_until_written() {
+        let p = sample();
+        let mut q = p.clone();
+        assert!(Arc::ptr_eq(&p.methods, &q.methods));
+        let dog = q.class_by_name("Dog").unwrap();
+        let mut pb = crate::builder::ProgramBuilder::resume(q);
+        pb.method(dog, "bark", Type::Void, false).finish();
+        q = pb.finish();
+        // The write copied the tables it touched and left the rest shared.
+        assert!(!Arc::ptr_eq(&p.methods, &q.methods));
+        assert!(Arc::ptr_eq(&p.fields, &q.fields));
+        assert!(p.method_by_path("Dog.bark").is_none());
+        assert!(q.method_by_path("Dog.bark").is_some());
     }
 
     #[test]

@@ -201,7 +201,8 @@ pub fn check(
         designated,
         root,
     } = resolve(program, target)?;
-    // The result owns the program it describes.
+    // The result owns the program it describes: for a borrowed program
+    // that is a second handle on the same tables, not a copy.
     let program = program.into_owned();
 
     let start = Instant::now();

@@ -104,6 +104,45 @@ serve_smoke 1 "$tmpdir/responses-w1.txt"
 serve_smoke 8 "$tmpdir/responses-w8.txt"
 cmp "$tmpdir/responses-w1.txt" "$tmpdir/responses-w8.txt"
 
+echo "==> adversarial frontend smoke (deep nesting exits 2, a flat 20k-term sum checks)"
+# Hostile program text gets one typed answer, never an abort (exit 134):
+# 3,000 nested parentheses, 30,000 nested `if` blocks and 20,000 unary
+# minuses exceed the parser's nesting budget and exit 2 with a syntax
+# error; a flat 20,000-term sum is legal, unnested code and must end in
+# a normal verdict (0 or 1).
+rep() { awk -v n="$2" -v s="$1" 'BEGIN { for (i = 0; i < n; i++) printf "%s", s }'; }
+hostile() {
+  printf 'class Item { }\nclass Main {\n  static void main() {\n    int x = 0;\n    %s\n    @check while (nondet()) { Item it = new Item(); }\n  }\n}\n' \
+    "$2" > "$tmpdir/hostile-$1.jml"
+}
+hostile parens "x = $(rep '(' 3000)1$(rep ')' 3000);"
+hostile blocks "$(rep 'if (nondet()) { ' 30000)x = 1;$(rep '} ' 30000)"
+hostile unary "x = $(rep '-' 20000)1;"
+hostile sum "x = 1$(rep ' + 1' 20000);"
+for name in parens blocks unary sum; do
+  set +e
+  "$leakc" check "$tmpdir/hostile-$name.jml" > "$tmpdir/hostile-$name.out" 2>&1
+  rc=$?
+  set -e
+  case "$name:$rc" in
+    sum:0 | sum:1) ;;
+    sum:*)
+      echo "adversarial smoke: the flat sum exited $rc, want a verdict (0 or 1)" >&2
+      exit 1
+      ;;
+    *:2)
+      grep -q 'nests deeper than' "$tmpdir/hostile-$name.out" || {
+        echo "adversarial smoke: $name exited 2 without the nesting error" >&2
+        exit 1
+      }
+      ;;
+    *)
+      echo "adversarial smoke: $name exited $rc, want 2" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "==> fleet chaos smoke (3 shards + router, kill -9 one shard mid-flight)"
 # The byte-identical-under-chaos gate from DESIGN.md §14: a campaign
 # through a 3-shard router with one shard kill -9'd mid-flight must
