@@ -6,7 +6,7 @@
 //! a few appends and dropping it is a few deallocations. Names are
 //! interned once as [`Symbol`]s; source positions are byte ranges.
 
-use crate::error::{Span, TextRange};
+use crate::error::TextRange;
 use leakchecker_ir::stmt::BinOp;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -197,11 +197,6 @@ impl<'s> Unit<'s> {
     /// The text of a name.
     pub fn name(&self, s: Symbol) -> &'s str {
         self.names.name(s)
-    }
-
-    /// The line/column span of a byte range.
-    pub fn span(&self, range: TextRange) -> Span {
-        Span::of(self.source, range)
     }
 
     /// A class's fields.

@@ -324,7 +324,6 @@ impl Resolver<'_, '_> {
         let unit = self.unit;
         let mut scopes = Scopes::new(unit.names.len());
         let mut spine = Vec::new();
-        let void = Type::Void;
         let mut methods = self.method_sigs.iter();
         for (class, default_ctor) in unit.classes.iter().zip(&self.default_ctors) {
             let cid = self.tables.class(class.name).expect("declared in pass 1");
@@ -363,7 +362,7 @@ impl Resolver<'_, '_> {
                     scopes: &mut scopes,
                     spine: &mut spine,
                     class: cid,
-                    ret: &void,
+                    ret: &sig.ret,
                     mb: self.pb.resume_method(sig.id),
                 };
                 ctx.emit_ctor_prologue(class)?;
