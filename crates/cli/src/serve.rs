@@ -399,6 +399,13 @@ fn metrics_text(inner: &Inner) -> String {
             "Corrupt cache entries recovered from.",
             cs.corrupt_recovered,
         );
+        push_family(
+            &mut out,
+            "leakc_cache_syncs_total",
+            "counter",
+            "fsyncs of the summary-cache file (one per store commit).",
+            cs.syncs,
+        );
     }
     push_phase_histograms(&mut out, telemetry);
     out
@@ -1744,6 +1751,13 @@ class Main {
         assert!(
             stats.contains("\"cache\": {\"hits\": 1, \"misses\": 2,"),
             "{stats}"
+        );
+        // Each cold result is one store commit, one fsync.
+        let metrics = roundtrip(&mut reader, &mut writer, r#"{"kind": "metrics"}"#);
+        let text = crate::protocol::parse_metrics_response(&metrics).expect("metrics text");
+        assert!(
+            text.contains("# TYPE leakc_cache_syncs_total counter\nleakc_cache_syncs_total 2\n"),
+            "{text}"
         );
 
         let summary = server.drain();

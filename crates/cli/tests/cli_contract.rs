@@ -531,3 +531,125 @@ fn kill_nine_mid_commit_recovers_the_cache_as_a_miss() {
         "warm replay drifted from the cache-less baseline"
     );
 }
+
+/// A leaky program whose cold commit carries several method records.
+const LEAKY_HELPERS_JML: &str = "class Item { }
+class Holder { Item item; }
+class Util {
+  static Item make() { return new Item(); }
+  static void keep(Holder h, Item it) { h.item = it; }
+  static int tick(int n) { return n + 1; }
+}
+class Main {
+  static void main() {
+    Holder h = new Holder();
+    int n = 0;
+    @check while (nondet()) {
+      Item it = Util.make();
+      Util.keep(h, it);
+      n = Util.tick(n);
+    }
+  }
+}
+";
+
+/// kill -9 inside the method records of a multi-record commit: a cold
+/// result commits its result record first, then its method records,
+/// then its digest record, with one write. A tear past the result line
+/// leaves the result certified, so the next run quarantines only the
+/// torn method record, replays the result warm and prints the
+/// cache-less bytes.
+#[test]
+fn kill_nine_inside_the_method_records_keeps_the_result() {
+    let dir = temp_dir("cache-tear-methods");
+    let clean = dir.join("clean.jml");
+    let leaky = dir.join("leaky.jml");
+    std::fs::write(&clean, CLEAN_JML).expect("write clean.jml");
+    std::fs::write(&leaky, LEAKY_HELPERS_JML).expect("write leaky.jml");
+    let clean = clean.to_str().expect("utf8 path");
+    let leaky = leaky.to_str().expect("utf8 path");
+
+    let baseline = leakc().args(["check", leaky]).output().expect("spawn");
+    assert_eq!(baseline.status.code(), Some(1));
+    let baseline_text = strip_cache_lines(&baseline.stdout);
+
+    // Two stores seeded alike, so the next commit into each is a plain
+    // append of the same bytes. The probe store shows where the result
+    // line ends and the method records lie.
+    let seeded = |name: &str| {
+        let cache = dir.join(name);
+        let cache = cache.to_str().expect("utf8 path").to_string();
+        let out = leakc()
+            .args(["check", clean, "--cache", &cache])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "seed run is clean");
+        cache
+    };
+    let probe = seeded("probe");
+    let cache = seeded("cache");
+    let probe_file = dir.join("probe").join("summaries.lkc");
+    let cache_file = dir.join("cache").join("summaries.lkc");
+    let seed_len = std::fs::read(&probe_file).expect("probe store").len();
+    let out = leakc()
+        .args(["check", leaky, "--cache", &probe])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let probe_bytes = std::fs::read(&probe_file).expect("probe store");
+    let commit = String::from_utf8_lossy(&probe_bytes[seed_len..]).into_owned();
+    let lines: Vec<&str> = commit.split_inclusive('\n').collect();
+    let kinds: String = lines.iter().map(|l| &l[..1]).collect();
+    assert!(
+        kinds.starts_with("RMM") && kinds.ends_with('D'),
+        "a cold commit is R, then M records, then D: {kinds}"
+    );
+    // Cut halfway through the second method record.
+    let tear_at = lines[0].len() + lines[1].len() + lines[2].len() / 2;
+
+    let out = leakc()
+        .args(["check", leaky, "--cache", &cache])
+        .env("LEAKC_CACHE_TEAR_AT", tear_at.to_string())
+        .output()
+        .expect("spawn");
+    assert!(
+        !out.status.success(),
+        "torn run must die mid-commit, got {:?}",
+        out.status
+    );
+    let torn = std::fs::read(&cache_file).expect("cache file exists");
+    assert_eq!(torn.len(), seed_len + tear_at, "the tear cuts the commit");
+    assert_eq!(
+        &torn[..seed_len + lines[0].len() + lines[1].len()],
+        &probe_bytes[..seed_len + lines[0].len() + lines[1].len()],
+        "the certified prefix is the probe's result and first method record"
+    );
+
+    let out = leakc()
+        .args(["check", leaky, "--cache", &cache])
+        .output()
+        .expect("spawn");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "recovery run still finds the leak"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("(cached)")
+            && stdout.contains("1 hits")
+            && stdout.contains("1 corrupt recovered"),
+        "recovery run must replay the certified result warm:\n{stdout}"
+    );
+    assert_eq!(
+        strip_cache_lines(&out.stdout),
+        baseline_text,
+        "recovered run drifted from the cache-less baseline"
+    );
+    let healed = std::fs::read(&cache_file).expect("cache file exists");
+    assert_eq!(
+        healed.len(),
+        seed_len + lines[0].len() + lines[1].len(),
+        "recovery truncates the torn record in place"
+    );
+}

@@ -152,7 +152,7 @@ pub fn analyze_from(
         returned_from_library: BTreeSet::new(),
         started_threads: BTreeSet::new(),
         truncated: false,
-        final_roots: Vec::new(),
+        roots: BTreeSet::new(),
         top_escape: false,
         rounds: 0,
         locals_copied: 0,
@@ -161,7 +161,7 @@ pub fn analyze_from(
     let nlocals = program.method(root).locals.len();
     env.locals = vec![Val::Bottom; nlocals];
     interp.exec_method_body(root, &mut env);
-    interp.final_roots.push(env);
+    interp.add_roots(&env);
     interp.finish()
 }
 
@@ -334,8 +334,9 @@ struct AbstractInterp<'a> {
     returned_from_library: BTreeSet<TypeKey>,
     started_threads: BTreeSet<TypeKey>,
     truncated: bool,
-    /// Environments captured for the final reachability report.
-    final_roots: Vec<Env>,
+    /// Every type a finished frame held: the roots of the final
+    /// reachability report.
+    roots: BTreeSet<AbsType>,
     /// Set when a `⊤` value was stored through a persistent base inside
     /// the loop: any inside object may have escaped, so every inside site
     /// is conservatively reported `⊤̂` (only reachable when the value
@@ -533,9 +534,9 @@ impl AbstractInterp<'_> {
                         }
                     }
                     ret = ret.join(&callee_env.ret, self.bound());
-                    // Keep the callee frame as a reachability root: values
-                    // it held may pin heap cells observed by the report.
-                    self.final_roots.push(callee_env);
+                    // The callee frame's values are reachability roots:
+                    // they may pin heap cells observed by the report.
+                    self.add_roots(&callee_env);
                 }
                 if let Some(d) = dst {
                     if self.program.method(*method).ret_ty.is_reference() || ret.is_top() {
@@ -872,9 +873,16 @@ impl AbstractInterp<'_> {
         }
     }
 
+    /// Records the types `env` holds as reachability roots.
+    fn add_roots(&mut self, env: &Env) {
+        for val in env.locals.iter().chain(std::iter::once(&env.ret)) {
+            self.roots.extend(val.types());
+        }
+    }
+
     /// Computes the final report: reachable-occurrence ERA join.
     fn finish(self) -> EffectSummary {
-        // Roots: every captured environment binding, every outside-typed
+        // Roots: every type a finished frame held, every outside-typed
         // object (referenced from outside the loop by assumption), and the
         // globals pseudo-object.
         let mut reachable: BTreeSet<(TypeKey, Era)> = BTreeSet::new();
@@ -888,12 +896,8 @@ impl AbstractInterp<'_> {
                 }
             };
 
-        for env in &self.final_roots {
-            for val in env.locals.iter().chain(std::iter::once(&env.ret)) {
-                for ty in val.types() {
-                    add(&mut queue, &mut reachable, ty);
-                }
-            }
+        for &ty in &self.roots {
+            add(&mut queue, &mut reachable, ty);
         }
         add(
             &mut queue,
@@ -908,7 +912,7 @@ impl AbstractInterp<'_> {
             }
         }
 
-        let mut visited_cells: HashSet<HeapKey> = HashSet::new();
+        let mut visited: HashSet<(TypeKey, Gen)> = HashSet::new();
         while let Some((key, era)) = queue.pop_front() {
             if let TypeKey::Site(site) = key {
                 if era.is_inside() {
@@ -918,16 +922,15 @@ impl AbstractInterp<'_> {
                 }
             }
             // Follow heap edges: an object of generation g reaches the
-            // cells addressed by that generation.
+            // cells addressed by that generation, a contiguous key range.
             let gen = gen_of(era);
-            for ((bkey, bgen, _f), val) in self.heap.cells.iter() {
-                if (*bkey, *bgen) == (key, gen) {
-                    let cell_id = (*bkey, *bgen, *_f);
-                    if visited_cells.insert(cell_id) {
-                        for ty in val.types() {
-                            add(&mut queue, &mut reachable, ty);
-                        }
-                    }
+            if !visited.insert((key, gen)) {
+                continue;
+            }
+            let cells = (key, gen, FieldId(0))..=(key, gen, FieldId(u32::MAX));
+            for (_, val) in self.heap.cells.range(cells) {
+                for ty in val.types() {
+                    add(&mut queue, &mut reachable, ty);
                 }
             }
         }

@@ -23,6 +23,14 @@ use leakchecker_ir::stmt::BinOp;
 /// such as `1 + 1 + … + 1` are flat and do not count.
 pub const MAX_NESTING: u32 = 256;
 
+/// Precedence levels of the binary operators, loosest first: `||`,
+/// `&&`, comparisons, `+ -`, `* / %`.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const CMP: u8 = 3;
+const ADD: u8 = 4;
+const MUL: u8 = 5;
+
 /// Parses a complete compilation unit.
 ///
 /// # Errors
@@ -148,10 +156,18 @@ impl<'s> Parser<'_, 's> {
     /// Enters one nesting level, refusing to go past [`MAX_NESTING`].
     fn enter(&mut self) -> Result<()> {
         if self.depth >= MAX_NESTING {
-            return Err(self.error(format!("program nests deeper than {MAX_NESTING} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         Ok(())
+    }
+
+    /// The budget error, built out of line: it is raised at the deepest
+    /// frame, where an unoptimised build has the least stack to spare.
+    #[cold]
+    #[inline(never)]
+    fn too_deep(&self) -> CompileError {
+        self.error(format!("program nests deeper than {MAX_NESTING} levels"))
     }
 
     fn leave(&mut self) {
@@ -460,81 +476,74 @@ impl<'s> Parser<'_, 's> {
 
     fn expr(&mut self) -> Result<ExprId> {
         self.enter()?;
-        let e = self.or_expr()?;
+        let e = self.binary(OR)?;
         self.leave();
         Ok(e)
     }
 
-    /// One left-associative precedence level: `next (op next)*`, where
-    /// `op_of` maps the operator tokens of this level. Chains are built
-    /// in a loop, so their length costs no stack.
-    fn left_chain(
-        &mut self,
-        next: fn(&mut Self) -> Result<ExprId>,
-        op_of: fn(Punct) -> Option<BinOp>,
-    ) -> Result<ExprId> {
-        let mut lhs = next(self)?;
-        while let TokenKind::Punct(p) = self.peek().kind {
-            let Some(op) = op_of(p) else { break };
+    /// Binary operators by precedence climbing: parses a unary operand,
+    /// then every operator binding at least as tightly as `min`, each
+    /// with a right operand one level tighter, so equal operators
+    /// associate to the left and a chain of them is a loop that costs no
+    /// stack. After an operator, only operators of its level or looser
+    /// may follow; comparisons do not chain at all (`a < b < c` leaves
+    /// the second `<` to the caller).
+    fn binary(&mut self, min: u8) -> Result<ExprId> {
+        let mut lhs = self.unary_expr()?;
+        let mut max = MUL;
+        while let Some((op, level)) = self.binary_op() {
+            if level < min || level > max {
+                break;
+            }
             let span = self.range();
             self.bump();
-            let rhs = next(self)?;
+            let rhs = self.binary(level + 1)?;
             lhs = self.expr_node(ExprKind::Binary { op, lhs, rhs }, span);
+            max = if level == CMP { CMP - 1 } else { level };
         }
         Ok(lhs)
     }
 
-    fn or_expr(&mut self) -> Result<ExprId> {
-        self.left_chain(Self::and_expr, |p| (p == Punct::OrOr).then_some(BinOp::Or))
-    }
-
-    fn and_expr(&mut self) -> Result<ExprId> {
-        self.left_chain(Self::cmp_expr, |p| {
-            (p == Punct::AndAnd).then_some(BinOp::And)
-        })
-    }
-
-    fn cmp_expr(&mut self) -> Result<ExprId> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek().kind {
-            TokenKind::Punct(Punct::EqEq) => BinOp::Eq,
-            TokenKind::Punct(Punct::NotEq) => BinOp::Ne,
-            TokenKind::Punct(Punct::Lt) => BinOp::Lt,
-            TokenKind::Punct(Punct::Le) => BinOp::Le,
-            TokenKind::Punct(Punct::Gt) => BinOp::Gt,
-            TokenKind::Punct(Punct::Ge) => BinOp::Ge,
-            _ => return Ok(lhs),
+    /// The binary operator at the cursor and its precedence level.
+    fn binary_op(&self) -> Option<(BinOp, u8)> {
+        let TokenKind::Punct(p) = self.peek().kind else {
+            return None;
         };
-        let span = self.range();
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(self.expr_node(ExprKind::Binary { op, lhs, rhs }, span))
-    }
-
-    fn add_expr(&mut self) -> Result<ExprId> {
-        self.left_chain(Self::mul_expr, |p| match p {
-            Punct::Plus => Some(BinOp::Add),
-            Punct::Minus => Some(BinOp::Sub),
-            _ => None,
+        Some(match p {
+            Punct::OrOr => (BinOp::Or, OR),
+            Punct::AndAnd => (BinOp::And, AND),
+            Punct::EqEq => (BinOp::Eq, CMP),
+            Punct::NotEq => (BinOp::Ne, CMP),
+            Punct::Lt => (BinOp::Lt, CMP),
+            Punct::Le => (BinOp::Le, CMP),
+            Punct::Gt => (BinOp::Gt, CMP),
+            Punct::Ge => (BinOp::Ge, CMP),
+            Punct::Plus => (BinOp::Add, ADD),
+            Punct::Minus => (BinOp::Sub, ADD),
+            Punct::Star => (BinOp::Mul, MUL),
+            Punct::Slash => (BinOp::Div, MUL),
+            Punct::Percent => (BinOp::Rem, MUL),
+            _ => return None,
         })
     }
 
-    fn mul_expr(&mut self) -> Result<ExprId> {
-        self.left_chain(Self::unary_expr, |p| match p {
-            Punct::Star => Some(BinOp::Mul),
-            Punct::Slash => Some(BinOp::Div),
-            Punct::Percent => Some(BinOp::Rem),
-            _ => None,
-        })
-    }
+    // The expression descent recurses once per nesting level, so the
+    // functions on that path keep their frames small even without
+    // optimisation: rarer forms (prefix operators, postfix chains,
+    // literals, annotated allocations) live in separate functions that
+    // are off the stack while a nested argument or sub-expression is
+    // parsed.
 
     fn unary_expr(&mut self) -> Result<ExprId> {
+        match self.peek().kind {
+            TokenKind::Punct(Punct::Bang | Punct::Minus) => self.prefix_expr(),
+            _ => self.postfix_expr(),
+        }
+    }
+
+    fn prefix_expr(&mut self) -> Result<ExprId> {
         let span = self.range();
-        let negate = match self.peek().kind {
-            TokenKind::Punct(Punct::Bang) => false,
-            TokenKind::Punct(Punct::Minus) => true,
-            _ => return self.postfix_expr(),
-        };
+        let negate = self.at(Punct::Minus);
         self.enter()?;
         self.bump();
         let e = self.unary_expr()?;
@@ -548,7 +557,12 @@ impl<'s> Parser<'_, 's> {
     }
 
     fn postfix_expr(&mut self) -> Result<ExprId> {
-        let mut e = self.primary_expr()?;
+        let e = self.primary_expr()?;
+        self.postfix_chain(e)
+    }
+
+    /// Member accesses, calls and indexing applied to `e`.
+    fn postfix_chain(&mut self, mut e: ExprId) -> Result<ExprId> {
         let outer = self.depth;
         loop {
             let span = self.range();
@@ -633,6 +647,34 @@ impl<'s> Parser<'_, 's> {
     }
 
     fn primary_expr(&mut self) -> Result<ExprId> {
+        let token = self.peek();
+        match token.kind {
+            TokenKind::Punct(Punct::LParen) => {
+                self.bump();
+                let e = self.expr()?;
+                self.expect_punct(Punct::RParen)?;
+                Ok(e)
+            }
+            TokenKind::Ident => {
+                self.bump();
+                let name = self.unit.names.intern(self.text(token));
+                if !self.at(Punct::LParen) {
+                    return Ok(self.expr_node(ExprKind::Name(name), token.range()));
+                }
+                let args = self.args()?;
+                let call = ExprKind::Call {
+                    base: None,
+                    name,
+                    args,
+                };
+                Ok(self.expr_node(call, token.range()))
+            }
+            _ => self.atom(),
+        }
+    }
+
+    /// A primary expression other than a parenthesised one or a name.
+    fn atom(&mut self) -> Result<ExprId> {
         let span = self.range();
         if let Some(annotation) = self.alloc_annotation()? {
             // Annotation must be followed by `new`.
@@ -641,12 +683,6 @@ impl<'s> Parser<'_, 's> {
         }
         let token = self.peek();
         let kind = match token.kind {
-            TokenKind::Punct(Punct::LParen) => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                return Ok(e);
-            }
             TokenKind::Int => ExprKind::Int(int_value(self.text(token))),
             TokenKind::Keyword(Keyword::Null) => ExprKind::Null,
             TokenKind::Keyword(Keyword::This) => ExprKind::This,
@@ -667,21 +703,6 @@ impl<'s> Parser<'_, 's> {
                     "unexpected keyword `{}` in expression",
                     self.text(token)
                 )))
-            }
-            TokenKind::Ident => {
-                self.bump();
-                let name = self.unit.names.intern(self.text(token));
-                let kind = if self.at(Punct::LParen) {
-                    let args = self.args()?;
-                    ExprKind::Call {
-                        base: None,
-                        name,
-                        args,
-                    }
-                } else {
-                    ExprKind::Name(name)
-                };
-                return Ok(self.expr_node(kind, span));
             }
             _ => return Err(self.error(format!("unexpected {} in expression", self.found()))),
         };

@@ -992,6 +992,9 @@ impl<'r> BodyCtx<'r, '_, '_> {
                 annotation,
             } => {
                 let elem_ty = self.tables.resolve_type(self.unit, &elem)?;
+                if elem_ty == Type::Void {
+                    return Err(self.err(elem.span, "cannot form an array of `void`"));
+                }
                 let (len_op, lty) = self.lower_to_operand(len)?;
                 if lty != Type::Int {
                     return Err(self.err(self.unit.expr(len).span, "array length must be `int`"));

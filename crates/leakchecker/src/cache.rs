@@ -48,7 +48,8 @@
 //! digest: on a match it skips the callgraph and the SCC pass, which
 //! dominate a full [`compute_keys`]. A recorded result appends one `D`
 //! record (digest → root key, 16 bytes of data, nothing per method)
-//! after its method records, so a restarted process keys warm too.
+//! after its method records, in the same commit, so a restarted process
+//! keys warm too.
 //!
 //! # Record format and crash safety
 //!
@@ -63,14 +64,19 @@
 //! (`<kind>` is `R` result, `M` method or `D` digest) with key and
 //! payload escaped (`\\`, `\n`, space), `len` the
 //! unescaped payload length, and the checksum spanning kind, epoch, key
-//! and payload. The trailing newline certifies the commit; appends are
-//! fsync'd. On load, a record failing magic/epoch/field/length/checksum
+//! and payload. The trailing newline certifies the record. A store
+//! commit is one append of whole records — one `write_all`, one fsync —
+//! so a result costs one fsync however many method records ride with
+//! it. On load, a record failing magic/epoch/field/length/checksum
 //! validation is quarantined and treated as a miss — **corruption
 //! degrades to a miss, never to a wrong answer** — with the cause
 //! counted in `cache_corrupt_recovered`. A torn tail (kill -9
 //! mid-commit) is truncated away exactly like the journal's resume
-//! path; interior damage triggers a compacting rewrite of the surviving
-//! records through [`write_atomic`].
+//! path. The records a torn commit did certify stay; a commit orders
+//! result, methods, digest, so that prefix is what a crash between
+//! per-record commits would leave. Interior damage triggers a
+//! compacting rewrite of the surviving records through
+//! [`write_atomic`].
 //!
 //! Runs that are witness-recording, fault-injected, wall-clock-governed
 //! or degraded are never cached: their outputs depend on state outside
@@ -98,9 +104,10 @@ pub const CACHE_EPOCH: u32 = 2;
 pub const CACHE_FILE: &str = "summaries.lkc";
 
 /// Test hook (kill -9 mid-commit): when set to a byte count `N`, the
-/// next record append writes at most `N` bytes of the line, skips the
-/// fsync, and aborts the process — a deterministic stand-in for a
-/// process dying mid-write with a torn, uncertified record on disk.
+/// next append writes at most `N` bytes of the commit (always short of
+/// its last newline), skips the fsync, and aborts the process — a
+/// deterministic stand-in for a process dying mid-write with a torn,
+/// uncertified record on disk.
 pub const TEAR_ENV: &str = "LEAKC_CACHE_TEAR_AT";
 
 // ---------------------------------------------------------------------
@@ -1010,6 +1017,11 @@ fn render_record(kind: char, key: &str, payload: &str) -> String {
     )
 }
 
+/// Renders the digest record that remembers `root_key` for `digest`.
+fn render_digest(digest: u64, root_key: u64) -> String {
+    render_record('D', &format!("{digest:016x}"), &format!("{root_key:016x}"))
+}
+
 /// Parses one newline-stripped record line; `None` means corrupt.
 fn parse_record(line: &str) -> Option<(char, String, String)> {
     let mut parts = line.splitn(6, ' ');
@@ -1056,6 +1068,9 @@ pub struct CacheStats {
     /// Records quarantined by load-time validation (magic, epoch,
     /// length, checksum, torn tail) — each recovered as a miss.
     pub corrupt_recovered: u64,
+    /// fsyncs of the store file: appends, compactions and torn-tail
+    /// truncations (each store commit costs one).
+    pub syncs: u64,
 }
 
 /// A stored per-method summary entry.
@@ -1067,6 +1082,16 @@ pub struct StoredMethod {
     pub sem: u64,
     /// Composed key at record time.
     pub composed: u64,
+}
+
+impl StoredMethod {
+    /// The `M` record payload.
+    fn payload(&self) -> String {
+        format!(
+            "{:016x},{:016x},{:016x}",
+            self.exact, self.sem, self.composed
+        )
+    }
 }
 
 /// The persistent summary store: validated in-memory view plus an
@@ -1149,6 +1174,7 @@ impl SummaryCache {
                     let f = std::fs::OpenOptions::new().write(true).open(&self.path)?;
                     f.set_len(valid_len as u64)?;
                     f.sync_all()?;
+                    self.stats.syncs += 1;
                 }
                 break;
             };
@@ -1215,56 +1241,57 @@ impl SummaryCache {
     }
 
     /// Rewrites the whole store from the in-memory view via
-    /// [`write_atomic`].
+    /// [`write_atomic`], in a commit's order: results, methods, digests.
+    /// A first commit into a fresh file thus lays out exactly as later
+    /// appends do.
     fn compact(&mut self) -> std::io::Result<()> {
         let mut out = format!("{CACHE_MAGIC} {CACHE_EPOCH}\n");
-        for (name, m) in &self.methods {
-            out.push_str(&render_record(
-                'M',
-                name,
-                &format!("{:016x},{:016x},{:016x}", m.exact, m.sem, m.composed),
-            ));
-        }
         for (key, payload) in &self.results {
             out.push_str(&render_record('R', &format!("{key:016x}"), payload));
         }
+        for (name, m) in &self.methods {
+            out.push_str(&render_record('M', name, &m.payload()));
+        }
         for (digest, root_key) in &self.roots {
-            out.push_str(&render_record(
-                'D',
-                &format!("{digest:016x}"),
-                &format!("{root_key:016x}"),
-            ));
+            out.push_str(&render_digest(*digest, *root_key));
         }
         write_atomic(&self.path, out.as_bytes())?;
+        self.stats.syncs += 1;
         self.header_valid = true;
         Ok(())
     }
 
-    fn append(&mut self, kind: char, key: &str, payload: &str) -> std::io::Result<()> {
+    /// Commits `lines` (whole rendered records) with one write and one
+    /// fsync; an empty commit touches nothing.
+    fn append(&mut self, lines: &str) -> std::io::Result<()> {
+        if lines.is_empty() {
+            return Ok(());
+        }
         if !self.header_valid {
             // First commit into a missing/stale/corrupt-headed file:
             // rewrite it wholesale. Callers update the in-memory view
-            // before appending, so the compaction already persists this
-            // record — appends take over from the next commit on.
+            // before appending, so the compaction already persists these
+            // records — appends take over from the next commit on.
             return self.compact();
         }
-        let line = render_record(kind, key, payload);
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         if let Ok(tear) = std::env::var(TEAR_ENV) {
             if let Ok(at) = tear.parse::<usize>() {
-                // Deterministic kill -9 mid-commit: emit a torn,
-                // newline-less prefix and die without fsync.
-                let cut = at.min(line.len().saturating_sub(1));
-                let _ = file.write_all(&line.as_bytes()[..cut]);
+                // Deterministic kill -9 mid-commit: emit a torn prefix
+                // whose last record has no newline, and die without
+                // fsync.
+                let cut = at.min(lines.len() - 1);
+                let _ = file.write_all(&lines.as_bytes()[..cut]);
                 let _ = file.flush();
                 std::process::abort();
             }
         }
-        file.write_all(line.as_bytes())?;
+        file.write_all(lines.as_bytes())?;
         file.sync_all()?;
+        self.stats.syncs += 1;
         Ok(())
     }
 
@@ -1292,16 +1319,23 @@ impl SummaryCache {
         }
     }
 
-    /// Commits a result record (fsync'd append).
+    /// Stores a result in the in-memory view and returns its record line.
+    fn result_line(&mut self, result_key: u64, target: &CachedTarget) -> String {
+        let payload = target.encode();
+        let line = render_record('R', &format!("{result_key:016x}"), &payload);
+        self.results.insert(result_key, payload);
+        line
+    }
+
+    /// Commits a result record (one fsync'd append).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; the in-memory view is updated first, so
     /// a failed commit degrades to a session-local cache.
     pub fn record(&mut self, result_key: u64, target: &CachedTarget) -> std::io::Result<()> {
-        let payload = target.encode();
-        self.results.insert(result_key, payload.clone());
-        self.append('R', &format!("{result_key:016x}"), &payload)
+        let line = self.result_line(result_key, target);
+        self.append(&line)
     }
 
     /// The root key remembered for a program digest, if any.
@@ -1309,10 +1343,12 @@ impl SummaryCache {
         self.roots.get(&digest).copied()
     }
 
-    /// Commits a cold result and everything a later warm key needs: the
-    /// result record, the refreshed method records (see
-    /// [`SummaryCache::sync_methods`]), then — if new — the digest
-    /// record that lets [`TargetKeys`] skip the callgraph next time.
+    /// Commits a cold result and everything a later warm key needs, as
+    /// one append in this order: the result record, the refreshed method
+    /// records (see [`SummaryCache::sync_methods`]), then — if new — the
+    /// digest record that lets [`TargetKeys`] skip the callgraph next
+    /// time. A commit torn by a crash keeps a certified prefix: the
+    /// result, then some of the method records.
     ///
     /// # Errors
     ///
@@ -1323,16 +1359,12 @@ impl SummaryCache {
         result_key: u64,
         target: &CachedTarget,
     ) -> std::io::Result<()> {
-        self.record(result_key, target)?;
-        self.sync_methods(keys.program_keys())?;
-        if self.roots.insert(keys.digest, keys.root_key) == Some(keys.root_key) {
-            return Ok(());
+        let mut lines = self.result_line(result_key, target);
+        lines.push_str(&self.method_lines(keys.program_keys()));
+        if self.roots.insert(keys.digest, keys.root_key) != Some(keys.root_key) {
+            lines.push_str(&render_digest(keys.digest, keys.root_key));
         }
-        self.append(
-            'D',
-            &format!("{:016x}", keys.digest),
-            &format!("{:016x}", keys.root_key),
-        )
+        self.append(&lines)
     }
 
     /// Qualified names of stored methods whose exact hash drifted from
@@ -1349,48 +1381,46 @@ impl SummaryCache {
             .collect()
     }
 
-    /// Synchronizes per-method summaries with `keys`: counts every
-    /// stored summary whose *composed* key drifted (the edited methods
-    /// plus, transitively, everything composing over them) into
-    /// `stats.invalidated`, then appends refreshed records for drifted
-    /// or new methods.
+    /// Synchronizes per-method summaries with `keys` (see
+    /// [`SummaryCache::method_lines`]) and commits the refreshed records
+    /// as one append; with nothing drifted it writes nothing.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures from the append path.
     pub fn sync_methods(&mut self, keys: &ProgramKeys) -> std::io::Result<()> {
-        let mut refreshed: Vec<(String, MethodKey)> = Vec::new();
+        let lines = self.method_lines(keys);
+        self.append(&lines)
+    }
+
+    /// Stores drifted or new method summaries of `keys` in the in-memory
+    /// view and returns their record lines in name order. Counts every
+    /// stored summary whose *composed* key drifted (the edited methods
+    /// plus, transitively, everything composing over them) into
+    /// `stats.invalidated`.
+    fn method_lines(&mut self, keys: &ProgramKeys) -> String {
+        let mut lines = String::new();
         for (name, k) in &keys.methods {
-            match self.methods.get(name) {
-                Some(stored)
-                    if stored.exact == k.exact
-                        && stored.sem == k.sem
-                        && stored.composed == k.composed => {}
+            let fresh = StoredMethod {
+                exact: k.exact,
+                sem: k.sem,
+                composed: k.composed,
+            };
+            match self.methods.get_mut(name) {
+                Some(stored) if *stored == fresh => continue,
                 Some(stored) => {
-                    if stored.composed != k.composed {
+                    if stored.composed != fresh.composed {
                         self.stats.invalidated += 1;
                     }
-                    refreshed.push((name.clone(), *k));
+                    *stored = fresh;
                 }
-                None => refreshed.push((name.clone(), *k)),
+                None => {
+                    self.methods.insert(name.clone(), fresh);
+                }
             }
+            lines.push_str(&render_record('M', name, &fresh.payload()));
         }
-        for (name, k) in refreshed {
-            self.methods.insert(
-                name.clone(),
-                StoredMethod {
-                    exact: k.exact,
-                    sem: k.sem,
-                    composed: k.composed,
-                },
-            );
-            self.append(
-                'M',
-                &name,
-                &format!("{:016x},{:016x},{:016x}", k.exact, k.sem, k.composed),
-            )?;
-        }
-        Ok(())
+        lines
     }
 
     /// Number of stored per-method summaries (test/telemetry surface).
@@ -1583,6 +1613,47 @@ mod tests {
         assert!(reopened.lookup(1).is_some(), "the result record survives");
     }
 
+    /// One store commit, one fsync: a cold result with over a hundred
+    /// method records costs a single sync, and re-syncing unchanged
+    /// methods costs none and leaves the file untouched.
+    #[test]
+    fn a_commit_costs_one_sync_and_an_unchanged_sync_costs_none() {
+        let mut source = String::from("class Main {\n  static void main() {\n");
+        source.push_str("    @check while (nondet()) {\n");
+        for i in 0..120 {
+            source.push_str(&format!("      Main.f{i}();\n"));
+        }
+        source.push_str("    }\n  }\n");
+        for i in 0..120 {
+            source.push_str(&format!("  static void f{i}() {{ }}\n"));
+        }
+        source.push_str("}\n");
+        let unit = leakchecker_frontend::compile(&source).unwrap();
+        let target = CheckTarget::Loop(unit.checked_loops[0]);
+        let resolved = crate::target::resolve(&unit.program, target).unwrap();
+        let dir = temp_store("onesync");
+        let mut cache = SummaryCache::open(&dir).unwrap();
+        // The first commit compacts a fresh file; later ones append.
+        cache.record(0, &sample_target()).unwrap();
+        assert_eq!(cache.stats.syncs, 1);
+        let mut keys = TargetKeys::new(resolved, DetectorConfig::default().callgraph, |_| None);
+        cache.record_target(&mut keys, 1, &sample_target()).unwrap();
+        assert!(cache.method_count() >= 100, "{}", cache.method_count());
+        assert_eq!(cache.stats.syncs, 2, "one record_target, one sync");
+
+        let path = cache.file_path().to_path_buf();
+        let bytes = std::fs::read(&path).unwrap();
+        cache.sync_methods(keys.program_keys()).unwrap();
+        assert_eq!(cache.stats.syncs, 2, "nothing drifted, nothing synced");
+        assert_eq!(cache.stats.invalidated, 0);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        let reopened = SummaryCache::open(&dir).unwrap();
+        assert_eq!(reopened.stats, CacheStats::default());
+        assert_eq!(reopened.method_count(), cache.method_count());
+        assert_eq!(reopened.remembered_root(keys.digest), Some(keys.root_key()));
+    }
+
     #[test]
     fn corruption_matrix_every_case_loads_as_miss() {
         // Bad magic.
@@ -1658,6 +1729,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut reopened = SummaryCache::open(&dir).unwrap();
         assert_eq!(reopened.stats.corrupt_recovered, 1);
+        assert_eq!(reopened.stats.syncs, 1, "the truncation is synced");
         assert!(reopened.lookup(1).is_some(), "committed record survives");
         assert_eq!(
             std::fs::metadata(&path).unwrap().len() as usize,

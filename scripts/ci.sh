@@ -8,8 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test"
-cargo test -q --offline
+echo "==> cargo test --workspace (debug)"
+# Every crate's unit and integration tests, unoptimised: debug frames
+# are larger, so this is where the parser's nesting budget must still
+# fit the default test-thread stack.
+cargo test -q --offline --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -234,3 +234,23 @@ fn lowered_ir_matches_the_recorded_digests() {
     let want: Vec<(String, u64)> = DIGESTS.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     assert_eq!(got, want);
 }
+
+/// An array of `void` is refused wherever it is formed: an allocation
+/// gets the error a declared field, parameter or return type gets.
+#[test]
+fn allocating_an_array_of_void_is_refused() {
+    for (source, want) in [
+        (
+            "class C { static void main() { Object o = new void[3]; } }",
+            "resolution error at 1:47: cannot form an array of `void`",
+        ),
+        (
+            "class C {\n  void m() {\n    Object o = @leak new void[1];\n  }\n}",
+            "resolution error at 3:26: cannot form an array of `void`",
+        ),
+    ] {
+        let got = compile(source).map(|_| ()).unwrap_err().to_string();
+        assert_eq!(got, want, "{source:?}");
+    }
+    assert!(compile("class C { static void main() { Object o = new int[3]; } }").is_ok());
+}
