@@ -51,7 +51,7 @@ pub fn score(program: &Program, result: &AnalysisResult) -> Score {
     let reported = result.reported_sites();
 
     for report in &result.reports {
-        let ctx_weight = report.contexts.len().max(1);
+        let ctx_weight = report.context_count.max(1);
         s.reported_sites += 1;
         s.reported_ctx_sites += ctx_weight;
         match &program.alloc(report.site).label {

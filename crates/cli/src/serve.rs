@@ -130,10 +130,11 @@ pub fn signal_shutdown_requested() -> bool {
 /// Fixed upper bounds (microseconds) for the per-phase latency
 /// histograms exposed on `/metrics`. Fixed — never derived from the
 /// data — so two scrapes of any two shards are bucket-compatible and
-/// the exposition is byte-stable for a given counter state. Rendered
-/// as seconds (`le="0.001"` … `le="10"` plus `+Inf`).
-const LATENCY_BUCKETS_US: [u64; 7] = [
-    1_000, 5_000, 25_000, 100_000, 500_000, 2_500_000, 10_000_000,
+/// the exposition is byte-stable for a given counter state. 1-2.5-5 per
+/// decade, rendered as seconds (`le="0.00001"` … `le="10"` plus `+Inf`).
+const LATENCY_BUCKETS_US: [u64; 19] = [
+    10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
+    500_000, 1_000_000, 2_500_000, 5_000_000, 10_000_000,
 ];
 
 /// Phase labels, in `RunStats` phase order (matches the histogram
@@ -1555,6 +1556,21 @@ class Main {
             text.contains("leakc_phase_seconds_bucket{phase=\"flows\",le=\"+Inf\"} 1"),
             "{text}"
         );
+        // One small check: its phases take microseconds, and the buckets
+        // resolve them below 1 ms.
+        assert!(
+            text.contains("leakc_phase_seconds_bucket{phase=\"flows\",le=\"0.00001\"} "),
+            "{text}"
+        );
+        let sub_ms = PHASE_NAMES
+            .iter()
+            .filter(|phase| {
+                text.contains(&format!(
+                    "leakc_phase_seconds_bucket{{phase=\"{phase}\",le=\"0.0005\"}} 1"
+                ))
+            })
+            .count();
+        assert!(sub_ms > 0, "no phase counted below 0.5 ms: {text}");
 
         // The same exposition comes back raw over plain HTTP.
         let http = server.metrics_addr().expect("metrics listener bound");

@@ -98,8 +98,8 @@ pub const CACHE_MAGIC: &str = "LKCACHE";
 /// Format epoch: bump on any incompatible change to the record format
 /// *or* the keying scheme — stale files then load as all-miss. Epoch 2
 /// added the digest record and `effects_locals_copied` in the stored
-/// `--json` fragment.
-pub const CACHE_EPOCH: u32 = 2;
+/// `--json` fragment; in epoch 3 stored reports list sampled contexts.
+pub const CACHE_EPOCH: u32 = 3;
 /// Store file name inside the cache directory.
 pub const CACHE_FILE: &str = "summaries.lkc";
 

@@ -7,7 +7,7 @@
 //! leaking allocation sites with the redundant reference edge and the
 //! calling contexts under which the objects are allocated.
 
-use crate::contexts::{enumerate_jobs, ContextConfig, ContextTable};
+use crate::contexts::{enumerate_jobs, ContextConfig};
 use crate::flows::{build as build_flows, FlowConfig, FlowRelations, OutsideEdge};
 use crate::governor::{Confidence, Governor, GovernorConfig};
 use crate::parallel::parallel_map;
@@ -19,7 +19,7 @@ use leakchecker_callgraph::{Algorithm, CallGraph};
 use leakchecker_effects::{analyze_from, EffectConfig, EffectSummary, Era};
 use leakchecker_ir::ids::AllocSite;
 use leakchecker_ir::Program;
-use leakchecker_pointsto::{Context, Pag};
+use leakchecker_pointsto::Pag;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ pub struct DetectorConfig {
     pub callgraph: Algorithm,
     /// Effect-analysis knobs.
     pub effects: EffectConfig,
-    /// Context-enumeration knobs.
+    /// Context-counting knobs.
     pub contexts: ContextConfig,
     /// Pivot mode: report only the roots of leaking structures
     /// (paper Section 4; the evaluation runs with it on).
@@ -40,9 +40,9 @@ pub struct DetectorConfig {
     pub library_modeling: bool,
     /// Thread modeling: treat started threads as outside objects.
     pub model_threads: bool,
-    /// Worker threads for the fan-out phases (context enumeration, pivot
-    /// filtering, report building). `1` runs fully sequential; `0` uses
-    /// the machine's available parallelism.
+    /// Worker threads for the fan-out phases (flows, refinement, report
+    /// building). `1` runs fully sequential; `0` uses the machine's
+    /// available parallelism.
     pub jobs: usize,
     /// Resource governance: per-query budgets, adaptive retries, the
     /// run deadline, and (in tests/CI) injected faults.
@@ -79,7 +79,7 @@ pub struct PhaseTimes {
     pub effects_secs: f64,
     /// Flow-relation construction (transitive closure + indexing).
     pub flows_secs: f64,
-    /// Context-sensitive allocation-site enumeration.
+    /// Context-sensitive allocation-site counting.
     pub contexts_secs: f64,
     /// Demand-driven candidate refinement under the degradation ladder.
     pub refine_secs: f64,
@@ -169,8 +169,6 @@ pub struct AnalysisResult {
     pub summary: EffectSummary,
     /// The flow relations (exposed for clients that post-process).
     pub flows: FlowRelations,
-    /// The context table for the analyzed loop.
-    pub contexts: ContextTable,
     /// The program as analyzed (augmented with a driver for regions).
     pub program: Program,
     /// Per-query derivation traces, in deterministic order. Empty unless
@@ -368,12 +366,12 @@ pub fn check(
                 .collect(),
             None => Vec::new(),
         };
-        let ctxs: Vec<Context> = contexts.of(site).cloned().collect();
         LeakReport {
             site,
             era,
             edges,
-            contexts: ctxs,
+            context_count: contexts.count_of(&program, site),
+            contexts: contexts.sample(&program, site),
             describe: program.alloc(site).describe.clone(),
             method: program.qualified_name(program.alloc(site).method),
             confidence: confidence_of
@@ -387,7 +385,7 @@ pub fn check(
 
     let leaking_sites = reports
         .iter()
-        .map(|r| r.contexts.len().max(1))
+        .map(|r| r.context_count.max(1))
         .sum::<usize>();
     let ladder = governor.stats();
     let stats = RunStats {
@@ -426,7 +424,6 @@ pub fn check(
         stats,
         summary,
         flows,
-        contexts,
         program,
         traces,
     })

@@ -69,7 +69,7 @@ pub mod witness;
 pub use cache::{
     cacheable_config, compute_keys, CacheStats, CachedTarget, ProgramKeys, SummaryCache, TargetKeys,
 };
-pub use contexts::{ContextConfig, ContextTable};
+pub use contexts::{ContextConfig, ContextTable, CONTEXT_SAMPLE};
 pub use detect::{check, AnalysisResult, DetectorConfig, PhaseTimes, RunStats};
 pub use flows::{FlowConfig, FlowRelations, OutsideEdge};
 pub use governor::{

@@ -19,7 +19,11 @@ pub struct LeakReport {
     /// The redundant reference edges (field of an outside object through
     /// which instances are kept alive but never read back).
     pub edges: Vec<OutsideEdge>,
-    /// Calling contexts under which the site executes inside the loop.
+    /// Number of calling contexts under which the site executes inside
+    /// the loop.
+    pub context_count: usize,
+    /// Up to [`CONTEXT_SAMPLE`](crate::contexts::CONTEXT_SAMPLE) of those
+    /// contexts, in [`Context`] order.
     pub contexts: Vec<Context>,
     /// Human-readable allocation description (e.g. `"new Order"`).
     pub describe: String,
@@ -37,38 +41,7 @@ pub struct LeakReport {
 impl LeakReport {
     /// Renders the report as the tool's plain-text output.
     pub fn render(&self, program: &Program) -> String {
-        let mut out = String::new();
-        let degraded = match self.confidence.cause() {
-            Some(cause) => format!(" (degraded: {cause})"),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            out,
-            "leak: {} ({}) allocated in {} [ERA = {}]{degraded}",
-            self.describe, self.site, self.method, self.era
-        );
-        for edge in &self.edges {
-            let base = match edge.base {
-                Some(TypeKey::Site(s)) => {
-                    format!("{} ({s})", program.alloc(s).describe)
-                }
-                Some(TypeKey::Globals) => "<static fields>".to_string(),
-                None => "<unknown object>".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "  redundant edge: {}.{}",
-                base,
-                program.field(edge.field).name
-            );
-        }
-        if self.contexts.is_empty() {
-            let _ = writeln!(out, "  context: <loop body>");
-        }
-        for ctx in &self.contexts {
-            let _ = writeln!(out, "  context: {ctx}");
-        }
-        out
+        self.render_with(program, false)
     }
 
     /// Renders the report with its escape-chain witnesses (`--explain`):
@@ -80,6 +53,13 @@ impl LeakReport {
     /// subset: explain only *inserts* lines after each edge, so tooling
     /// keyed on the plain format keeps working.
     pub fn render_explain(&self, program: &Program) -> String {
+        self.render_with(program, true)
+    }
+
+    /// Both render modes: the header, each redundant edge (with its
+    /// witness when `explain`), then the sampled contexts and, when the
+    /// sample is not all of them, their count.
+    fn render_with(&self, program: &Program, explain: bool) -> String {
         let mut out = String::new();
         let degraded = match self.confidence.cause() {
             Some(cause) => format!(" (degraded: {cause})"),
@@ -94,6 +74,9 @@ impl LeakReport {
             let base = base_str(program, edge.base);
             let field = program.field(edge.field).name.clone();
             let _ = writeln!(out, "  redundant edge: {base}.{field}");
+            if !explain {
+                continue;
+            }
             match self.witnesses.iter().find(|c| c.edge == *edge) {
                 Some(chain) => {
                     let _ = writeln!(out, "    escape chain:");
@@ -146,11 +129,15 @@ impl LeakReport {
         for ctx in &self.contexts {
             let _ = writeln!(out, "  context: {ctx}");
         }
+        if self.context_count > self.contexts.len() {
+            let shown = self.contexts.len();
+            let _ = writeln!(out, "  contexts: {} ({shown} shown)", self.context_count);
+        }
         out
     }
 }
 
-/// Renders an outside-edge base object (shared by both render modes).
+/// Renders an outside-edge base object.
 fn base_str(program: &Program, base: Option<TypeKey>) -> String {
     match base {
         Some(TypeKey::Site(s)) => format!("{} ({s})", program.alloc(s).describe),
@@ -161,25 +148,22 @@ fn base_str(program: &Program, base: Option<TypeKey>) -> String {
 
 /// Renders a full result summary, one block per report.
 pub fn render_all(program: &Program, reports: &[LeakReport]) -> String {
-    if reports.is_empty() {
-        return "no leaks reported\n".to_string();
-    }
-    let mut out = String::new();
-    for (i, report) in reports.iter().enumerate() {
-        let _ = write!(out, "[{}] {}", i + 1, report.render(program));
-    }
-    out
+    render_all_with(program, reports, false)
 }
 
 /// Renders a full result summary with escape-chain witnesses
 /// (`--explain`), one block per report.
 pub fn render_all_explained(program: &Program, reports: &[LeakReport]) -> String {
+    render_all_with(program, reports, true)
+}
+
+fn render_all_with(program: &Program, reports: &[LeakReport], explain: bool) -> String {
     if reports.is_empty() {
         return "no leaks reported\n".to_string();
     }
     let mut out = String::new();
     for (i, report) in reports.iter().enumerate() {
-        let _ = write!(out, "[{}] {}", i + 1, report.render_explain(program));
+        let _ = write!(out, "[{}] {}", i + 1, report.render_with(program, explain));
     }
     out
 }

@@ -146,6 +146,44 @@ for name in parens blocks unary sum; do
   esac
 done
 
+echo "==> adversarial context smoke (fan-out k=8, n=7, r=2: exact LO/LS, bounded report)"
+# Each C<i>.f allocates a C<i+1> and calls its f 8 times; the loop body
+# calls C1.f twice, so the leaf's Item site has 2 * 8^6 contexts. The
+# counts must be exact, the report must list a bounded sample, and the
+# output must not depend on --jobs.
+{
+  printf 'class Item { }\nclass Holder { Item slot; }\n'
+  for i in 1 2 3 4 5 6; do
+    printf 'class C%d {\n  void f(Holder h) {\n    C%d c = new C%d();\n%s\n  }\n}\n' \
+      "$i" "$((i + 1))" "$((i + 1))" "$(rep '    c.f(h);\n' 8)"
+  done
+  printf 'class C7 {\n  void f(Holder h) {\n    Item it = new Item();\n    h.slot = it;\n  }\n}\n'
+  printf 'class Main {\n  static void main() {\n    Holder h = new Holder();\n    C1 c = new C1();\n'
+  printf '    @check while (nondet()) {\n      c.f(h);\n      c.f(h);\n    }\n  }\n}\n'
+} > "$tmpdir/fanout.jml"
+for jobs in 1 8; do
+  set +e
+  "$leakc" check "$tmpdir/fanout.jml" --jobs "$jobs" > "$tmpdir/fanout-$jobs.out" 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" -ne 1 ]; then
+    echo "context smoke: fan-out (jobs $jobs) exited $rc, want 1" >&2
+    exit 1
+  fi
+  grep -q 'LO = 599186, LS = 524288 ' "$tmpdir/fanout-$jobs.out" || {
+    echo "context smoke: fan-out (jobs $jobs) LO/LS are not 599186/524288" >&2
+    exit 1
+  }
+  bytes="$(wc -c < "$tmpdir/fanout-$jobs.out")"
+  if [ "$bytes" -ge 4096 ]; then
+    echo "context smoke: fan-out (jobs $jobs) printed $bytes bytes, want < 4096" >&2
+    exit 1
+  fi
+  # Drop the lines that carry wall-clock times.
+  grep -v -e '^target ' -e '^  phases:' "$tmpdir/fanout-$jobs.out" > "$tmpdir/fanout-$jobs.txt"
+done
+cmp "$tmpdir/fanout-1.txt" "$tmpdir/fanout-8.txt"
+
 echo "==> fleet chaos smoke (3 shards + router, kill -9 one shard mid-flight)"
 # The byte-identical-under-chaos gate from DESIGN.md §14: a campaign
 # through a 3-shard router with one shard kill -9'd mid-flight must
